@@ -10,9 +10,10 @@ keyword or relies on the default.
 The rule parses the base module (option ``base-glob``, default
 ``*/backends/base.py``), collects the abstract methods of the protocol
 class (option ``protocol``, default ``ExecutionBackend``), then checks
-every class in the project that lists the protocol as a base:
+every class in the project that lists the protocol as a base — and every
+class deriving from one of those, for the methods it overrides:
 
-* every abstract method is implemented (same name);
+* every abstract method is implemented (same name) by a direct subclass;
 * positional parameter names match, in order;
 * keyword-only parameter names match, in order;
 * every default value matches the base's, token for token
@@ -170,18 +171,32 @@ class ProtocolDriftRule(Rule):
             for name, fn in _class_methods(base_class).items()
             if _is_abstract(fn)
         }
-        for ctx in project.files:
-            if ctx is base_ctx:
+        classes = [
+            (ctx, node)
+            for ctx in project.files
+            if ctx is not base_ctx
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, ast.ClassDef)
+        ]
+        # Subclasses of a backend (by name, to a fixpoint) inherit the
+        # protocol: only the methods they override are checked.
+        backends = {protocol}
+        grown = True
+        while grown:
+            grown = False
+            for _, node in classes:
+                if node.name not in backends and _base_names(node) & backends:
+                    backends.add(node.name)
+                    grown = True
+        for ctx, node in classes:
+            if node.name == protocol or node.name not in backends:
                 continue
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                if protocol not in _base_names(node):
-                    continue
-                methods = _class_methods(node)
-                for name in sorted(abstract):
-                    impl = methods.get(name)
-                    if impl is None:
+            direct = protocol in _base_names(node)
+            methods = _class_methods(node)
+            for name in sorted(abstract):
+                impl = methods.get(name)
+                if impl is None:
+                    if direct:
                         yield self.finding(
                             ctx,
                             node,
@@ -189,11 +204,11 @@ class ProtocolDriftRule(Rule):
                             f"{protocol}.{name}; the schedule executor "
                             "will hit the abstract method at runtime",
                         )
-                        continue
-                    for problem in _drift(abstract[name], _signature(impl)):
-                        yield self.finding(
-                            ctx,
-                            impl,
-                            f"{node.name}.{name} drifts from "
-                            f"{protocol}.{name}: {problem}",
-                        )
+                    continue
+                for problem in _drift(abstract[name], _signature(impl)):
+                    yield self.finding(
+                        ctx,
+                        impl,
+                        f"{node.name}.{name} drifts from "
+                        f"{protocol}.{name}: {problem}",
+                    )

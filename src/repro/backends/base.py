@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.mpi.stats import StatsLedger
 from repro.obs.trace import NULL_TRACER
+from repro.util import blas
 
 
 class ExecutionBackend(abc.ABC):
@@ -52,6 +53,15 @@ class ExecutionBackend(abc.ABC):
     def default_procs(self) -> int:
         """Processor count plans default to when the caller names none."""
         return 1
+
+    @property
+    def blas_threads(self) -> int | None:
+        """BLAS threads each kernel's GEMMs run with (``None``: unknown).
+
+        In-process backends use whatever the process is set to; pool
+        backends pin their workers to one thread.
+        """
+        return blas.get_num_threads()
 
     # -- data placement -------------------------------------------------- #
 

@@ -1,16 +1,22 @@
 """Block parallelism shared by the shared-memory pool backends.
 
-The threaded and process-pool backends partition every kernel the same
-way: pick the longest mode other than the one the kernel operates on,
-split it into near-even contiguous ranges (:func:`repro.dist.blocks
-.block_ranges`, the same partitioning the distributed engine uses), and
-fan the blocks out to workers. The partial-reduction discipline (ascending
-block order into an optional preallocated workspace) and the ledger FLOP
-formulas live here too. Keeping all of it in one place guarantees the two
-backends perform *identical* floating-point operations in *identical*
-reduction order — which is what lets the conformance harness hold every
-backend to the sequential reference at 1e-10 and the golden tests pin
-their FLOP tallies bit-for-bit.
+Every in-memory kernel works on the ``(P, L, Q)`` view of its C-ordered
+operand (:func:`repro.tensor.ttm.as_pql`): ``P`` the product of the modes
+before the kernel's mode, ``L`` its length, ``Q`` the product of the modes
+after it. The threaded and process-pool backends cut that view the same
+way (:func:`pq_blocks`): into near-even contiguous ranges of ``P``
+(:func:`repro.dist.blocks.block_ranges`, the partitioning the distributed
+engine uses), or of ``Q`` when ``P`` is shorter than the pool. Blocks
+stay views; a TTM block writes its own disjoint slice of the output, and
+Gram partials add up in ascending block order (:func:`reduce_partials`,
+optionally into a preallocated workspace). The out-of-core kernels keep
+their own budget-bounded geometry (:func:`oc_block_slices` along
+:func:`split_mode`). The ledger FLOP formulas live here too. Keeping all
+of it in one place guarantees the two pool backends perform *identical*
+floating-point operations in *identical* reduction order — which is what
+lets the conformance harness hold every backend to the sequential
+reference at 1e-10 and the golden tests pin their FLOP tallies
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -40,25 +46,46 @@ def split_mode(shape: tuple[int, ...], avoid: int | None) -> int | None:
     return max(candidates)[1]
 
 
+def axis_index(ndim: int, axis: int, sl: slice) -> tuple[slice, ...]:
+    """Index taking ``sl`` along ``axis`` and all of every other axis."""
+    index = [slice(None)] * ndim
+    index[axis] = sl
+    return tuple(index)
+
+
 def block_slices(length: int, n_workers: int) -> list[slice]:
     """Near-even contiguous slices covering ``range(length)``."""
     n_blocks = min(n_workers, length)
     return [slice(a, b) for a, b in block_ranges(length, n_blocks)]
 
 
-def reduce_partials(partials, length: int, out=None) -> np.ndarray:
-    """Sum ``L x L`` Gram partials in ascending block order (determinism).
+def pq_blocks(
+    pql: tuple[int, int, int], n_workers: int
+) -> list[tuple[slice, slice, slice]]:
+    """Worker blocks of a ``(P, L, Q)`` view, as index tuples.
+
+    Cut along ``P``; along ``Q`` instead when ``P`` is shorter than the
+    pool and than ``Q``. ``L`` is never cut, so every block holds whole
+    mode fibers. A single block means "run unsplit".
+    """
+    p_len, _, q_len = pql
+    whole = slice(None)
+    if p_len >= n_workers or p_len >= q_len:
+        return [(sl, whole, whole) for sl in block_slices(p_len, n_workers)]
+    return [(whole, whole, sl) for sl in block_slices(q_len, n_workers)]
+
+
+def reduce_partials(partials, out=None) -> np.ndarray:
+    """Sum Gram partials in ascending block order (determinism).
 
     ``out``, when shape/dtype-compatible, is the preallocated workspace a
-    compiled plan carries; otherwise a fresh accumulator is used.
+    compiled plan carries; otherwise the first (fresh) partial is the
+    accumulator.
     """
-    if out is not None and out.shape == (length, length) and (
-        out.dtype == partials[0].dtype
-    ):
+    g = partials[0]
+    if out is not None and out.shape == g.shape and out.dtype == g.dtype:
+        out[...] = g
         g = out
-        g[...] = partials[0]
-    else:
-        g = partials[0].copy()
     for p in partials[1:]:
         g += p
     return g
@@ -107,8 +134,8 @@ def oc_block_slices(
 
 
 #: resident charge per in-flight out-of-core block, as a multiple of the
-#: block's bytes: the read copy, the kernel temporary (an unfold or gemm
-#: output), and the output slab. Sessions size ``max_block_bytes`` as
+#: block's bytes: the read copy, the kernel temporary (a Gram slab or a
+#: reshape copy), and the output slab. Sessions size ``max_block_bytes`` as
 #: ``memory_budget // OC_LEASE_FACTOR`` so the concurrent leases of a
 #: full worker fan-out stay within the budget.
 OC_LEASE_FACTOR = 3
@@ -147,11 +174,13 @@ def check_worker_count(n_workers, backend_name: str) -> int:
 
 __all__ = [
     "OC_LEASE_FACTOR",
+    "axis_index",
     "block_slices",
     "check_worker_count",
     "default_workers",
     "gram_evd_flops",
     "oc_block_slices",
+    "pq_blocks",
     "reduce_partials",
     "split_mode",
 ]

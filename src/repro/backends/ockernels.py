@@ -3,17 +3,20 @@
 When a run spills (handle = :class:`~repro.storage.StoredTensor` instead
 of an ndarray), the sequential and threaded backends execute these
 implementations: every kernel walks the tensor in store-budgeted blocks
-(:func:`~repro.backends.blockpar.oc_block_slices`), materializes one
-block at a time under a :class:`~repro.storage.ResidentGauge` lease, and
-writes TTM outputs through a freshly allocated store block — so the full
-tensor is never resident, only ``O(block)`` bytes per in-flight worker.
+(:func:`~repro.backends.blockpar.oc_block_slices`), touches one block at a
+time under a :class:`~repro.storage.ResidentGauge` lease, runs the same
+matricization-free TTM/Gram kernels as the in-memory paths on it, and
+writes TTM outputs straight into a freshly allocated store block — so the
+full tensor is never resident, only ``O(block)`` bytes per in-flight
+worker.
 
 The two backends differ only in how blocks are mapped over workers, so
-each kernel takes a ``map_fn``: ``serial_map`` for the sequential
-backend, an executor's ``map`` for the threaded one. Both preserve
-ascending block order in reductions, the same fixed-order discipline the
-rest of the codebase uses, so out-of-core runs remain deterministic and
-agree with the in-memory reference to the conformance harness's 1e-10.
+each kernel takes a ``map_fn``: the backend's block mapper (in line for
+the sequential backend, over the thread pool for the threaded one). Both
+preserve ascending block order in reductions, the same fixed-order
+discipline the rest of the codebase uses, so out-of-core runs remain
+deterministic and agree with the in-memory reference to the conformance
+harness's 1e-10.
 
 The process-pool backend does not use these (its workers map the spill
 files directly — see :mod:`repro.backends.procpool`), but shares the
@@ -26,14 +29,15 @@ import numpy as np
 
 from repro.backends.blockpar import (
     OC_LEASE_FACTOR,
+    axis_index,
     oc_block_slices,
     reduce_partials,
     split_mode,
 )
-from repro.backends.sketch import add_block_contribution, out_shape
+from repro.backends.sketch import block_partials, sum_partials
 from repro.storage import BlockStore, StoredTensor
-from repro.tensor.ttm import ttm
-from repro.tensor.unfold import unfold
+from repro.tensor.linalg import gram_pql
+from repro.tensor.ttm import as_pql, ttm, ttm_shape
 
 
 def serial_map(func, items) -> list:
@@ -60,12 +64,6 @@ def oc_distribute(tensor: np.ndarray, store: BlockStore) -> StoredTensor:
     return StoredTensor.spill(store, np.asarray(tensor))
 
 
-def _block_index(ndim: int, split: int, sl: slice) -> tuple:
-    index: list[slice] = [slice(None)] * ndim
-    index[split] = sl
-    return tuple(index)
-
-
 def _slab_bytes(handle: StoredTensor, split: int) -> int:
     """Bytes of one unit of the split axis."""
     return max(1, handle.nbytes // max(1, handle.shape[split]))
@@ -81,18 +79,18 @@ def oc_ttm(
     """``Z = X x_mode matrix`` block by block, output spilled to the store."""
     store = handle.store
     matrix = np.asarray(matrix)
-    out_shape = (
-        handle.shape[:mode] + (matrix.shape[0],) + handle.shape[mode + 1 :]
+    out = StoredTensor.allocate(
+        store,
+        ttm_shape(handle.shape, mode, matrix.shape[0]),
+        np.result_type(handle.dtype, matrix.dtype),
     )
-    out_dtype = np.result_type(handle.dtype, matrix.dtype)
-    out = StoredTensor.allocate(store, out_shape, out_dtype)
     src = handle.open()
     dst = out.writer()
     try:
         split = split_mode(handle.shape, avoid=mode)
         if split is None:
             with store.gauge.lease(OC_LEASE_FACTOR * handle.nbytes):
-                dst[...] = ttm(np.ascontiguousarray(src), matrix, mode)
+                ttm(src, matrix, mode, out=dst)
         else:
             slab = _slab_bytes(handle, split)
             slices = oc_block_slices(
@@ -104,13 +102,11 @@ def oc_ttm(
             )
 
             def work(sl: slice) -> None:
-                index = _block_index(handle.ndim, split, sl)
+                index = axis_index(handle.ndim, split, sl)
                 with store.gauge.lease(
                     OC_LEASE_FACTOR * (sl.stop - sl.start) * slab
                 ):
-                    dst[index] = ttm(
-                        np.ascontiguousarray(src[index]), matrix, mode
-                    )
+                    ttm(src[index], matrix, mode, out=dst[index])
 
             map_fn(work, slices)
         if hasattr(dst, "flush"):
@@ -126,23 +122,31 @@ def oc_gram(
     n_workers: int,
     map_fn,
     out: np.ndarray | None = None,
+    other: StoredTensor | None = None,
 ) -> np.ndarray:
     """The mode-``mode`` Gram matrix ``U U^T``, accumulated block-wise.
 
-    Partials are summed in ascending block order
-    (:func:`~repro.backends.blockpar.reduce_partials`), so the result is
-    deterministic and matches the threaded backend's reduction discipline.
+    With ``other`` it is the cross Gram ``unfold(X) @ unfold(other).T``:
+    both tensors are cut along the same (non-``mode``) axis, so each
+    block pair covers identical unfolding columns. Partials are summed in
+    ascending block order (:func:`~repro.backends.blockpar
+    .reduce_partials`), so the result is deterministic and matches the
+    threaded backend's reduction discipline.
     """
     store = handle.store
-    length = handle.shape[mode]
-    src = handle.open()
+    handles = [handle] if other is None else [handle, other]
+    srcs = [h.open() for h in handles]
+
+    def gram(index) -> np.ndarray:
+        return gram_pql(*(as_pql(src[index], mode) for src in srcs))
+
     try:
         split = split_mode(handle.shape, avoid=mode)
         if split is None:
-            with store.gauge.lease(OC_LEASE_FACTOR * handle.nbytes):
-                u = unfold(np.ascontiguousarray(src), mode)
-                return u @ u.T
-        slab = _slab_bytes(handle, split)
+            nbytes = sum(h.nbytes for h in handles)
+            with store.gauge.lease(OC_LEASE_FACTOR * nbytes):
+                return gram(...)
+        slab = sum(_slab_bytes(h, split) for h in handles)
         slices = oc_block_slices(
             handle.shape,
             split,
@@ -152,17 +156,14 @@ def oc_gram(
         )
 
         def partial(sl: slice) -> np.ndarray:
-            index = _block_index(handle.ndim, split, sl)
             with store.gauge.lease(
                 OC_LEASE_FACTOR * (sl.stop - sl.start) * slab
             ):
-                u = unfold(np.ascontiguousarray(src[index]), mode)
-                return u @ u.T
+                return gram(axis_index(handle.ndim, split, sl))
 
-        partials = map_fn(partial, slices)
-        return reduce_partials(partials, length, out)
+        return reduce_partials(map_fn(partial, slices), out)
     finally:
-        del src
+        del srcs
 
 
 def oc_norm_sq(handle: StoredTensor, n_workers: int, map_fn) -> float:
@@ -214,116 +215,39 @@ def oc_sketch(
     ascending block order, the usual determinism discipline.
     """
     store = handle.store
-    full = tuple((0, int(d)) for d in handle.shape)
+    dims = tuple(handle.shape)
     src = handle.open()
     try:
-        split = split_mode(handle.shape, avoid=None)
+        split = split_mode(dims, avoid=None)
         if split is None:
             with store.gauge.lease(OC_LEASE_FACTOR * handle.nbytes):
-                block = np.ascontiguousarray(src)
-                outs = []
-                for spec in specs:
-                    out = np.zeros(
-                        out_shape(handle.shape, spec), dtype=handle.dtype
-                    )
-                    add_block_contribution(out, block, spec, full)
-                    outs.append(out)
-                flat = block.reshape(-1)
-                return outs, float(np.dot(flat, flat))
-        slab = _slab_bytes(handle, split)
-        slices = oc_block_slices(
-            handle.shape,
-            split,
-            handle.dtype.itemsize,
-            store.per_block_bytes(n_workers),
-            n_workers,
-        )
-
-        def partial(sl: slice):
-            index = _block_index(handle.ndim, split, sl)
-            ranges = tuple(
-                (sl.start, sl.stop) if m == split else full[m]
-                for m in range(handle.ndim)
+                results = [block_partials(dims, specs, -1, 0, 0, src)]
+        else:
+            slab = _slab_bytes(handle, split)
+            slices = oc_block_slices(
+                dims,
+                split,
+                handle.dtype.itemsize,
+                store.per_block_bytes(n_workers),
+                n_workers,
             )
-            with store.gauge.lease(
-                OC_LEASE_FACTOR * (sl.stop - sl.start) * slab
-            ):
-                block = np.ascontiguousarray(src[index])
-                contribs = []
-                for spec in specs:
-                    out = np.zeros(
-                        out_shape(handle.shape, spec), dtype=handle.dtype
-                    )
-                    add_block_contribution(out, block, spec, ranges)
-                    contribs.append(out)
-                flat = block.reshape(-1)
-                return contribs, float(np.dot(flat, flat))
 
-        results = map_fn(partial, slices)
-        outs = [
-            np.zeros(out_shape(handle.shape, spec), dtype=handle.dtype)
-            for spec in specs
-        ]
-        norm_sq = 0.0
-        for contribs, part in results:  # ascending block order
-            for out, contrib in zip(outs, contribs):
-                out += contrib
-            norm_sq += part
-        return outs, float(norm_sq)
+            def partial(sl: slice):
+                with store.gauge.lease(
+                    OC_LEASE_FACTOR * (sl.stop - sl.start) * slab
+                ):
+                    return block_partials(
+                        dims, specs, split, sl.start, sl.stop,
+                        src[axis_index(handle.ndim, split, sl)],
+                    )
+
+            results = map_fn(partial, slices)
+        return sum_partials(dims, specs, results, handle.dtype)
     finally:
         del src
 
 
-def oc_cross_gram(
-    a: StoredTensor,
-    b: StoredTensor,
-    mode: int,
-    n_workers: int,
-    map_fn,
-) -> np.ndarray:
-    """``unfold(A, mode) @ unfold(B, mode).T`` accumulated block-wise.
-
-    Both tensors are cut along the same (non-``mode``) axis so each
-    block pair restricts the unfoldings to identical column sets; block
-    products then simply add, in ascending block order.
-    """
-    store = a.store
-    length = a.shape[mode]
-    src_a = a.open()
-    src_b = b.open()
-    try:
-        split = split_mode(a.shape, avoid=mode)
-        if split is None:
-            with store.gauge.lease(OC_LEASE_FACTOR * (a.nbytes + b.nbytes)):
-                ua = unfold(np.ascontiguousarray(src_a), mode)
-                ub = unfold(np.ascontiguousarray(src_b), mode)
-                return ua @ ub.T
-        slab = _slab_bytes(a, split) + _slab_bytes(b, split)
-        slices = oc_block_slices(
-            a.shape,
-            split,
-            a.dtype.itemsize,
-            store.per_block_bytes(n_workers),
-            n_workers,
-        )
-
-        def partial(sl: slice) -> np.ndarray:
-            index = _block_index(a.ndim, split, sl)
-            with store.gauge.lease(
-                OC_LEASE_FACTOR * (sl.stop - sl.start) * slab
-            ):
-                ua = unfold(np.ascontiguousarray(src_a[index]), mode)
-                ub = unfold(np.ascontiguousarray(src_b[index]), mode)
-                return ua @ ub.T
-
-        partials = map_fn(partial, slices)
-        return reduce_partials(partials, length)
-    finally:
-        del src_a, src_b
-
-
 __all__ = [
-    "oc_cross_gram",
     "oc_distribute",
     "oc_gram",
     "oc_norm_sq",

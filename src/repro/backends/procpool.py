@@ -9,6 +9,13 @@ worker *processes*. Workers attach to the segments by name, so no tensor
 ever crosses a pipe: a task message carries a segment name, a shape, a
 dtype and a slice — plus the (small) factor matrix for TTM steps.
 
+Block geometry: every in-memory TTM and Gram task is one block of the
+kernel mode's ``(P, L, Q)`` view (:func:`~repro.backends.blockpar
+.pq_blocks`), handed to the same matricization-free kernels
+(:func:`~repro.tensor.ttm.ttm_pql`, :func:`~repro.tensor.linalg
+.gram_pql`) every backend runs. Each worker pins its BLAS to one thread
+in the pool initializer — the pool's processes already fill the cores.
+
 Determinism is preserved exactly as in the threaded backend:
 
 * TTM blocks write disjoint slices of a preallocated output segment (no
@@ -38,12 +45,14 @@ pool one budget-bounded block per worker at a time.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import sys
 import weakref
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from time import perf_counter
 
 import numpy as np
@@ -51,16 +60,17 @@ import numpy as np
 from repro.backends.base import ExecutionBackend
 from repro.backends.blockpar import (
     OC_LEASE_FACTOR,
+    axis_index,
     block_slices,
     check_worker_count,
     gram_evd_flops,
     oc_block_slices,
+    pq_blocks,
     reduce_partials,
     split_mode,
 )
 from repro.backends.errors import BackendUnavailableError
 from repro.backends.ockernels import (
-    oc_cross_gram,
     oc_distribute,
     oc_gram,
     oc_norm_sq,
@@ -68,15 +78,11 @@ from repro.backends.ockernels import (
     oc_ttm,
     serial_map,
 )
-from repro.backends.sketch import (
-    add_block_contribution,
-    out_shape as sketch_out_shape,
-    sketch_flops,
-)
+from repro.backends.sketch import block_partials, sketch_flops, sum_partials
 from repro.storage import CorruptBlockError, StorageError, StoredTensor
-from repro.tensor.linalg import leading_eigvecs
-from repro.tensor.ttm import ttm
-from repro.tensor.unfold import unfold
+from repro.tensor.linalg import gram_pql, leading_eigvecs
+from repro.tensor.ttm import as_pql, pql_shape, ttm, ttm_pql, ttm_shape
+from repro.util import blas
 
 try:  # gated: some platforms build Python without shared memory
     from multiprocessing import shared_memory
@@ -109,7 +115,7 @@ class ShmTensor:
     def __init__(self, shape: tuple[int, ...], dtype) -> None:
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
-        nbytes = max(1, int(np.prod(self.shape)) * self.dtype.itemsize)
+        nbytes = max(1, math.prod(self.shape) * self.dtype.itemsize)
         self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
         self._array: np.ndarray | None = np.ndarray(
             self.shape, dtype=self.dtype, buffer=self._shm.buf
@@ -127,6 +133,10 @@ class ShmTensor:
     @property
     def name(self) -> str:
         return self._shm.name
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
 
     @property
     def array(self) -> np.ndarray:
@@ -183,12 +193,6 @@ def _view(shm, shape, dtype) -> np.ndarray:
     return np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf)
 
 
-def _block_index(ndim: int, split: int, lo: int, hi: int) -> tuple:
-    index: list[slice] = [slice(None)] * ndim
-    index[split] = slice(lo, hi)
-    return tuple(index)
-
-
 def _run_timed(func, *args):
     """Run one worker task, shipping back a span fragment with the result.
 
@@ -202,56 +206,48 @@ def _run_timed(func, *args):
     return (os.getpid(), t0, perf_counter()), value
 
 
+def _init_worker() -> None:
+    """Pool initializer: the worker processes fill the cores, so BLAS
+    must not add threads of its own."""
+    blas.set_num_threads(1)
+
+
 def _ttm_block(
     in_name, in_shape, in_dtype, out_name, out_shape, out_dtype,
-    matrix, mode, split, lo, hi,
+    matrix, mode, index,
 ) -> None:
-    """One TTM block: read a slice of ``in``, write a disjoint slice of ``out``."""
+    """One TTM block: block ``index`` of the ``(P, L, Q)`` view of ``in``
+    into the same, disjoint block of ``out``."""
     src = _attach(in_name)
     dst = _attach(out_name)
     try:
-        x = _view(src, in_shape, in_dtype)
-        out = _view(dst, out_shape, out_dtype)
-        index = _block_index(len(in_shape), split, lo, hi)
-        out[index] = ttm(x[index], matrix, mode)
-        del x, out
+        x3 = as_pql(_view(src, in_shape, in_dtype), mode)
+        out3 = as_pql(_view(dst, out_shape, out_dtype), mode)
+        ttm_pql(x3[index], matrix, out3[index])
+        del x3, out3
     finally:
         _release(src)
         _release(dst)
 
 
-def _gram_block(name, shape, dtype, mode, split, lo, hi):
-    """One Gram partial: ``U U^T`` of the slice's mode unfolding."""
-    shm = _attach(name)
-    try:
-        x = _view(shm, shape, dtype)
-        index = _block_index(len(shape), split, lo, hi)
-        u = unfold(x[index], mode)
-        g = u @ u.T
-        del x
-    finally:
-        _release(shm)
-    return g
+def _gram_block(tensors, mode, index):
+    """One Gram partial over block ``index`` of a ``(P, L, Q)`` view.
 
-
-def _sketch_partials(dims, specs, split, lo, hi, block):
-    """One block's full-size sketch partials plus its norm partial.
-
-    Shared by the shm and file task functions (and the serial fallback),
-    so every transport computes bit-identical per-block contributions.
-    ``split=-1`` means the block is the whole tensor.
+    ``tensors`` holds one ``(name, shape, dtype)`` segment, or two for a
+    cross-Gram partial.
     """
-    ranges = tuple(
-        (lo, hi) if m == split else (0, int(dims[m]))
-        for m in range(len(dims))
-    )
-    contribs = []
-    for spec in specs:
-        out = np.zeros(sketch_out_shape(dims, spec), dtype=block.dtype)
-        add_block_contribution(out, block, spec, ranges)
-        contribs.append(out)
-    flat = block.reshape(-1)
-    return contribs, float(np.dot(flat, flat))
+    segs = [_attach(name) for name, _, _ in tensors]
+    try:
+        views = [
+            as_pql(_view(seg, shape, dtype), mode)[index]
+            for seg, (_, shape, dtype) in zip(segs, tensors)
+        ]
+        g = gram_pql(*views)
+        del views
+    finally:
+        for seg in segs:
+            _release(seg)
+    return g
 
 
 def _sketch_block(name, shape, dtype, specs, split, lo, hi):
@@ -259,35 +255,14 @@ def _sketch_block(name, shape, dtype, specs, split, lo, hi):
     shm = _attach(name)
     try:
         x = _view(shm, shape, dtype)
-        index = _block_index(len(shape), split, lo, hi)
-        result = _sketch_partials(
+        result = block_partials(
             tuple(shape), specs, split, lo, hi,
-            np.ascontiguousarray(x[index]),
+            x[axis_index(len(shape), split, slice(lo, hi))],
         )
         del x
     finally:
         _release(shm)
     return result
-
-
-def _xgram_block(
-    a_name, a_shape, a_dtype, b_name, b_shape, b_dtype, mode, split, lo, hi
-):
-    """One cross-Gram partial ``unfold(A)[cols] @ unfold(B)[cols].T``."""
-    sa = _attach(a_name)
-    sb = _attach(b_name)
-    try:
-        a = _view(sa, a_shape, a_dtype)
-        b = _view(sb, b_shape, b_dtype)
-        index = _block_index(len(a_shape), split, lo, hi)
-        ua = unfold(a[index], mode)
-        ub = unfold(b[index], mode)
-        g = ua @ ub.T
-        del a, b
-    finally:
-        _release(sa)
-        _release(sb)
-    return g
 
 
 def _norm_block(name, shape, dtype, lo, hi):
@@ -346,52 +321,37 @@ def _ttm_block_file(
     src = _map_file(in_path, in_offset, in_shape, in_dtype, "r")
     dst = _map_file(out_path, 0, out_shape, out_dtype, "r+")
     try:
-        index = _block_index(len(in_shape), split, lo, hi)
-        dst[index] = ttm(np.ascontiguousarray(src[index]), matrix, mode)
+        index = axis_index(len(in_shape), split, slice(lo, hi))
+        ttm(src[index], matrix, mode, out=dst[index])
         dst.flush()
     finally:
         del src, dst
 
 
-def _gram_block_file(path, offset, shape, dtype, mode, split, lo, hi):
-    """One Gram partial read straight off the mapped file."""
-    src = _map_file(path, offset, shape, dtype, "r")
+def _gram_block_file(tensors, mode, split, lo, hi):
+    """One Gram partial read straight off mapped files.
+
+    ``tensors`` holds one ``(path, offset, shape, dtype)`` file, or two
+    for a cross-Gram partial.
+    """
+    srcs = [_map_file(*tensor, "r") for tensor in tensors]
     try:
-        index = _block_index(len(shape), split, lo, hi)
-        u = unfold(np.ascontiguousarray(src[index]), mode)
-        return u @ u.T
+        index = axis_index(len(tensors[0][2]), split, slice(lo, hi))
+        return gram_pql(*(as_pql(src[index], mode) for src in srcs))
     finally:
-        del src
+        del srcs
 
 
 def _sketch_block_file(path, offset, shape, dtype, specs, split, lo, hi):
     """Sketch partials of one block read straight off the mapped file."""
     src = _map_file(path, offset, shape, dtype, "r")
     try:
-        index = _block_index(len(shape), split, lo, hi)
-        return _sketch_partials(
+        return block_partials(
             tuple(shape), specs, split, lo, hi,
-            np.ascontiguousarray(src[index]),
+            src[axis_index(len(shape), split, slice(lo, hi))],
         )
     finally:
         del src
-
-
-def _xgram_block_file(
-    a_path, a_offset, a_shape, a_dtype,
-    b_path, b_offset, b_shape, b_dtype,
-    mode, split, lo, hi,
-):
-    """One cross-Gram partial off two mapped files."""
-    sa = _map_file(a_path, a_offset, a_shape, a_dtype, "r")
-    sb = _map_file(b_path, b_offset, b_shape, b_dtype, "r")
-    try:
-        index = _block_index(len(a_shape), split, lo, hi)
-        ua = unfold(np.ascontiguousarray(sa[index]), mode)
-        ub = unfold(np.ascontiguousarray(sb[index]), mode)
-        return ua @ ub.T
-    finally:
-        del sa, sb
 
 
 def _norm_block_file(path, offset, shape, dtype, lo, hi):
@@ -453,9 +413,15 @@ class ProcessPoolBackend(ExecutionBackend):
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers, mp_context=_pool_context()
+                max_workers=self.n_workers,
+                mp_context=_pool_context(),
+                initializer=_init_worker,
             )
         return self._pool
+
+    @property
+    def blas_threads(self) -> int | None:
+        return blas.pool_threads(self.n_workers)
 
     def close(self) -> None:
         """Shut the pool down; the backend stays usable (pool reopens)."""
@@ -592,11 +558,7 @@ class ProcessPoolBackend(ExecutionBackend):
             return oc_ttm(handle, matrix, mode, 1, serial_map)
         in_path, in_offset = mapped
         matrix = np.asarray(matrix)
-        out_shape = (
-            handle.shape[:mode]
-            + (matrix.shape[0],)
-            + handle.shape[mode + 1 :]
-        )
+        out_shape = ttm_shape(handle.shape, mode, matrix.shape[0])
         out_dtype = np.result_type(handle.dtype, matrix.dtype)
         out = StoredTensor.allocate(handle.store, out_shape, out_dtype)
         slices = self._stored_slices(handle, split)
@@ -614,76 +576,82 @@ class ProcessPoolBackend(ExecutionBackend):
             self._collect("ttm", futures, owned=(out,))
         return out
 
-    def ttm(
-        self, handle, matrix: np.ndarray, mode: int, *, tag="ttm"
-    ) -> ShmTensor:
-        if isinstance(handle, StoredTensor):
-            start = perf_counter()
-            out = self._ttm_stored(handle, matrix, mode)
-            self.ledger.add_compute(
-                op="gemm",
-                tag=tag,
-                flops=float(matrix.shape[0] * handle.size),
-                seconds=perf_counter() - start,
-            )
+    def _ttm_memory(self, handle: ShmTensor, matrix, mode: int) -> ShmTensor:
+        """TTM over shared memory, one task per ``(P, L, Q)`` block."""
+        out_shape = ttm_shape(handle.shape, mode, matrix.shape[0])
+        out_dtype = np.result_type(handle.dtype, matrix.dtype)
+        out = ShmTensor(out_shape, out_dtype)
+        blocks = pq_blocks(pql_shape(handle.shape, mode), self.n_workers)
+        if len(blocks) == 1:
+            try:
+                ttm(handle.array, matrix, mode, out=out.array)
+            except BaseException:
+                out.close()  # never reaches the caller
+                raise
             return out
-        start = perf_counter()
-        split = split_mode(handle.shape, avoid=mode)
-        if split is None or not self._parallel():
-            out = self._store(ttm(handle.array, matrix, mode))
-        else:
-            out_shape = (
-                handle.shape[:mode]
-                + (matrix.shape[0],)
-                + handle.shape[mode + 1 :]
+        futures = [
+            self._submit(
+                _ttm_block,
+                handle.name, handle.shape, handle.dtype.str,
+                out.name, out_shape, out_dtype.str,
+                matrix, mode, index,
             )
-            out_dtype = np.result_type(handle.dtype, matrix.dtype)
-            out = ShmTensor(out_shape, out_dtype)
-            futures = [
-                self._submit(
-                    _ttm_block,
-                    handle.name, handle.shape, handle.dtype.str,
-                    out.name, out_shape, out_dtype.str,
-                    matrix, mode, split, sl.start, sl.stop,
-                )
-                for sl in block_slices(handle.shape[split], self.n_workers)
-            ]
-            self._collect("ttm", futures, owned=(out,))
-        size = int(np.prod(handle.shape))
+            for index in blocks
+        ]
+        self._collect("ttm", futures, owned=(out,))
+        return out
+
+    def ttm(self, handle, matrix: np.ndarray, mode: int, *, tag="ttm"):
+        start = perf_counter()
+        if isinstance(handle, StoredTensor):
+            out = self._ttm_stored(handle, matrix, mode)
+        else:
+            out = self._ttm_memory(handle, matrix, mode)
         self.ledger.add_compute(
             op="gemm",
             tag=tag,
-            flops=float(matrix.shape[0] * size),
+            flops=float(matrix.shape[0] * handle.size),
             seconds=perf_counter() - start,
         )
         return out
 
-    def _gram_stored(
-        self,
-        handle: StoredTensor,
-        mode: int,
-        out: np.ndarray | None,
-    ) -> np.ndarray:
-        """Gram accumulation over a spilled handle via file-mapped workers."""
-        split = split_mode(handle.shape, avoid=mode)
-        mapped = _mappable(handle) if self._parallel() else None
-        if split is None or mapped is None:
-            return oc_gram(handle, mode, 1, serial_map, out)
-        path, offset = mapped
-        slices = self._stored_slices(handle, split)
-        with self._worker_lease(handle, slices):
-            futures = [
-                self._submit(
-                    _gram_block_file,
-                    path, offset, handle.shape,
-                    handle.dtype.str,
-                    mode, split, sl.start, sl.stop,
-                )
-                for sl in slices
+    def _gram(self, handle, mode: int, other=None, out=None) -> np.ndarray:
+        """Mode Gram (cross Gram with ``other``) over the pool, partials
+        summed in fixed ascending block order (determinism)."""
+        label = "gram" if other is None else "xgram"
+        handles = [h for h in (handle, other) if h is not None]
+        if isinstance(handle, StoredTensor):
+            split = split_mode(handle.shape, avoid=mode)
+            mapped = [
+                _mappable(h) if self._parallel() else None for h in handles
             ]
-            partials = self._collect("gram", futures)
-        # Fixed ascending-block reduction order (determinism).
-        return reduce_partials(partials, handle.shape[mode], out)
+            if split is None or None in mapped:
+                return oc_gram(handle, mode, 1, serial_map, out, other)
+            slices = self._stored_slices(handle, split)
+            tensors = tuple(
+                (path, offset, h.shape, h.dtype.str)
+                for (path, offset), h in zip(mapped, handles)
+            )
+            with ExitStack() as leases:
+                for h in handles:
+                    leases.enter_context(self._worker_lease(h, slices))
+                futures = [
+                    self._submit(
+                        _gram_block_file, tensors, mode, split,
+                        sl.start, sl.stop,
+                    )
+                    for sl in slices
+                ]
+                partials = self._collect(label, futures)
+            return reduce_partials(partials, out)
+        blocks = pq_blocks(pql_shape(handle.shape, mode), self.n_workers)
+        if len(blocks) == 1:
+            return gram_pql(*(as_pql(h.array, mode) for h in handles), out=out)
+        tensors = tuple((h.name, h.shape, h.dtype.str) for h in handles)
+        futures = [
+            self._submit(_gram_block, tensors, mode, index) for index in blocks
+        ]
+        return reduce_partials(self._collect(label, futures), out)
 
     def leading_factor(
         self,
@@ -700,61 +668,16 @@ class ProcessPoolBackend(ExecutionBackend):
                 f"ProcessPoolBackend only supports the Gram+EVD route, "
                 f"got method={method!r}"
             )
-        if isinstance(handle, StoredTensor):
-            start = perf_counter()
-            g = self._gram_stored(handle, mode, out)
-            g = (g + g.T) * 0.5
-            factor = leading_eigvecs(g, k)
-            self.ledger.add_compute(
-                op="syrk",
-                tag=tag,
-                flops=float(gram_evd_flops(handle.shape[mode], handle.size)),
-                seconds=perf_counter() - start,
-            )
-            return factor
         start = perf_counter()
-        length = handle.shape[mode]
-        split = split_mode(handle.shape, avoid=mode)
-        if split is None or not self._parallel():
-            u = unfold(handle.array, mode)
-            g = u @ u.T
-        else:
-            futures = [
-                self._submit(
-                    _gram_block,
-                    handle.name, handle.shape, handle.dtype.str,
-                    mode, split, sl.start, sl.stop,
-                )
-                for sl in block_slices(handle.shape[split], self.n_workers)
-            ]
-            partials = self._collect("gram", futures)
-            # Fixed ascending-block reduction order (determinism).
-            g = reduce_partials(partials, length, out)
-        g = (g + g.T) * 0.5
-        flops = gram_evd_flops(length, int(np.prod(handle.shape)))
-        factor = leading_eigvecs(g, k)
+        g = self._gram(handle, mode, out=out)
+        factor = leading_eigvecs((g + g.T) * 0.5, k)
         self.ledger.add_compute(
             op="syrk",
             tag=tag,
-            flops=float(flops),
+            flops=float(gram_evd_flops(handle.shape[mode], handle.size)),
             seconds=perf_counter() - start,
         )
         return factor
-
-    def _accumulate_sketches(self, dims, specs, results):
-        """Ascending-block accumulation shared by both sketch transports."""
-        outs = [
-            np.zeros(sketch_out_shape(dims, spec), dtype=np.dtype(
-                results[0][0][i].dtype if results else np.float64
-            ))
-            for i, spec in enumerate(specs)
-        ]
-        norm_sq = 0.0
-        for contribs, part in results:  # ascending block order
-            for out, contrib in zip(outs, contribs):
-                out += contrib
-            norm_sq += part
-        return outs, float(norm_sq)
 
     def _sketch_stored(self, handle: StoredTensor, specs):
         split = split_mode(handle.shape, avoid=None)
@@ -773,7 +696,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 for sl in slices
             ]
             results = self._collect("sketch", futures)
-        return self._accumulate_sketches(tuple(handle.shape), specs, results)
+        return sum_partials(handle.shape, specs, results, handle.dtype)
 
     def sketch(self, handle, specs, *, tag="sketch"):
         start = perf_counter()
@@ -784,10 +707,7 @@ class ProcessPoolBackend(ExecutionBackend):
             dims = tuple(handle.shape)
             split = split_mode(dims, avoid=None)
             if split is None or not self._parallel():
-                sketches, norm_sq = _sketch_partials(
-                    dims, specs, -1, 0, 0,
-                    np.ascontiguousarray(handle.array),
-                )
+                results = [block_partials(dims, specs, -1, 0, 0, handle.array)]
             else:
                 futures = [
                     self._submit(
@@ -798,69 +718,25 @@ class ProcessPoolBackend(ExecutionBackend):
                     for sl in block_slices(dims[split], self.n_workers)
                 ]
                 results = self._collect("sketch", futures)
-                sketches, norm_sq = self._accumulate_sketches(
-                    dims, specs, results
-                )
-        size = int(np.prod(handle.shape))
+            sketches, norm_sq = sum_partials(
+                dims, specs, results, handle.dtype
+            )
         flops = sum(sketch_flops(handle.shape, spec) for spec in specs)
         self.ledger.add_compute(
             op="gemm",
             tag=tag,
-            flops=float(flops) + float(size),
+            flops=float(flops) + float(handle.size),
             seconds=perf_counter() - start,
         )
         return sketches, norm_sq
 
-    def _xgram_stored(self, a: StoredTensor, b: StoredTensor, mode: int):
-        split = split_mode(a.shape, avoid=mode)
-        mapped_a = _mappable(a) if self._parallel() else None
-        mapped_b = _mappable(b) if self._parallel() else None
-        if split is None or mapped_a is None or mapped_b is None:
-            return oc_cross_gram(a, b, mode, 1, serial_map)
-        a_path, a_offset = mapped_a
-        b_path, b_offset = mapped_b
-        slices = self._stored_slices(a, split)
-        with self._worker_lease(a, slices), self._worker_lease(b, slices):
-            futures = [
-                self._submit(
-                    _xgram_block_file,
-                    a_path, a_offset, a.shape, a.dtype.str,
-                    b_path, b_offset, b.shape, b.dtype.str,
-                    mode, split, sl.start, sl.stop,
-                )
-                for sl in slices
-            ]
-            partials = self._collect("xgram", futures)
-        # Fixed ascending-block reduction order (determinism).
-        return reduce_partials(partials, a.shape[mode])
-
     def cross_gram(self, handle, other, mode: int, *, tag="xgram"):
         start = perf_counter()
-        if isinstance(handle, StoredTensor):
-            g = self._xgram_stored(handle, other, mode)
-        else:
-            split = split_mode(handle.shape, avoid=mode)
-            if split is None or not self._parallel():
-                g = unfold(handle.array, mode) @ unfold(other.array, mode).T
-            else:
-                futures = [
-                    self._submit(
-                        _xgram_block,
-                        handle.name, handle.shape, handle.dtype.str,
-                        other.name, other.shape, other.dtype.str,
-                        mode, split, sl.start, sl.stop,
-                    )
-                    for sl in block_slices(
-                        handle.shape[split], self.n_workers
-                    )
-                ]
-                partials = self._collect("xgram", futures)
-                # Fixed ascending-block reduction order (determinism).
-                g = reduce_partials(partials, handle.shape[mode])
+        g = self._gram(handle, mode, other)
         self.ledger.add_compute(
             op="gemm",
             tag=tag,
-            flops=float(other.shape[mode]) * float(np.prod(handle.shape)),
+            flops=float(other.shape[mode]) * float(handle.size),
             seconds=perf_counter() - start,
         )
         return g
@@ -898,8 +774,7 @@ class ProcessPoolBackend(ExecutionBackend):
     def fro_norm_sq(self, handle, *, tag="norm") -> float:
         if isinstance(handle, StoredTensor):
             return self._norm_stored(handle)
-        size = int(np.prod(handle.shape))
-        slices = block_slices(size, self.n_workers)
+        slices = block_slices(handle.size, self.n_workers)
         if len(slices) <= 1 or not self._parallel():
             flat = handle.array.reshape(-1)
             return float(np.dot(flat, flat))

@@ -5,6 +5,12 @@ records its multiply-add count (and measured wall seconds) in the ledger so
 sequential runs expose the same ``stats()`` surface as the virtual cluster
 — with zero communication volume, as expected of one rank.
 
+TTM and Gram run the matricization-free kernels over the kernel mode's
+``(P, L, Q)`` view, cut into :attr:`SequentialBackend.n_workers` blocks
+(:func:`~repro.backends.blockpar.pq_blocks`) and mapped by
+:meth:`SequentialBackend._map_blocks`: one block, in line, here. The
+threaded backend is this class with a thread pool as the mapper.
+
 When a run spills (``distribute(..., store=...)``), handles become
 :class:`~repro.storage.StoredTensor` block descriptions and every kernel
 runs its out-of-core form (:mod:`repro.backends.ockernels`): one
@@ -19,8 +25,8 @@ from time import perf_counter
 import numpy as np
 
 from repro.backends.base import ExecutionBackend
+from repro.backends.blockpar import gram_evd_flops, pq_blocks, reduce_partials
 from repro.backends.ockernels import (
-    oc_cross_gram,
     oc_distribute,
     oc_gram,
     oc_norm_sq,
@@ -31,10 +37,11 @@ from repro.backends.ockernels import (
 from repro.backends.sketch import sketch_arrays, sketch_flops
 from repro.storage import StoredTensor
 from repro.tensor.linalg import (
+    gram_pql,
     leading_eigvecs,
     leading_left_singular_vectors,
 )
-from repro.tensor.ttm import ttm
+from repro.tensor.ttm import as_pql, ttm_pql, ttm_shape
 from repro.tensor.unfold import unfold
 
 
@@ -42,6 +49,13 @@ class SequentialBackend(ExecutionBackend):
     """The numpy reference path (one rank, shared memory)."""
 
     name = "sequential"
+
+    #: blocks each in-memory kernel is cut into
+    n_workers = 1
+
+    def _map_blocks(self, func, blocks) -> list:
+        """Run ``func`` on every block; results in ascending block order."""
+        return serial_map(func, blocks)
 
     # -- data placement -------------------------------------------------- #
 
@@ -65,9 +79,19 @@ class SequentialBackend(ExecutionBackend):
     ) -> np.ndarray:
         start = perf_counter()
         if isinstance(handle, StoredTensor):
-            out = oc_ttm(handle, matrix, mode, 1, serial_map)
+            out = oc_ttm(
+                handle, matrix, mode, self.n_workers, self._map_blocks
+            )
         else:
-            out = ttm(handle, matrix, mode)
+            out = np.empty(
+                ttm_shape(handle.shape, mode, matrix.shape[0]),
+                dtype=np.result_type(handle.dtype, matrix.dtype),
+            )
+            x3, out3 = as_pql(handle, mode), as_pql(out, mode)
+            self._map_blocks(
+                lambda ix: ttm_pql(x3[ix], matrix, out3[ix]),
+                pq_blocks(x3.shape, self.n_workers),
+            )
         self.ledger.add_compute(
             op="gemm",
             tag=tag,
@@ -75,6 +99,20 @@ class SequentialBackend(ExecutionBackend):
             seconds=perf_counter() - start,
         )
         return out
+
+    def _gram(self, handle, mode: int, other=None, out=None) -> np.ndarray:
+        """Mode Gram (cross Gram with ``other``): block partials summed
+        in ascending block order."""
+        if isinstance(handle, StoredTensor):
+            return oc_gram(
+                handle, mode, self.n_workers, self._map_blocks, out, other
+            )
+        views = [as_pql(t, mode) for t in (handle, other) if t is not None]
+        partials = self._map_blocks(
+            lambda ix: gram_pql(*(v[ix] for v in views)),
+            pq_blocks(views[0].shape, self.n_workers),
+        )
+        return reduce_partials(partials, out)
 
     def leading_factor(
         self,
@@ -87,40 +125,22 @@ class SequentialBackend(ExecutionBackend):
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         start = perf_counter()
-        length = handle.shape[mode]
-        if isinstance(handle, StoredTensor):
-            if method != "gram":
-                raise ValueError(
-                    f"out-of-core handles only support the Gram+EVD "
-                    f"route, got method={method!r}"
-                )
-            g = oc_gram(handle, mode, 1, serial_map, out)
-            g = (g + g.T) * 0.5
-            factor = leading_eigvecs(g, k)
-        elif method == "gram":
-            u = unfold(handle, mode)
-            if (
-                out is not None
-                and out.shape == (length, length)
-                and out.dtype == u.dtype
-            ):
-                g = np.matmul(u, u.T, out=out)
-            else:
-                g = u @ u.T
-            g = (g + g.T) * 0.5
-            factor = leading_eigvecs(g, k)
+        if method == "gram":
+            g = self._gram(handle, mode, out=out)
+            factor = leading_eigvecs((g + g.T) * 0.5, k)
+        elif isinstance(handle, StoredTensor):
+            raise ValueError(
+                f"out-of-core handles only support the Gram+EVD "
+                f"route, got method={method!r}"
+            )
         else:
             factor = leading_left_singular_vectors(
                 unfold(handle, mode), k, method=method
             )
-        flops = (
-            length * (length + 1) // 2 * (handle.size // length)
-            + 4 * length**3 // 3
-        )
         self.ledger.add_compute(
             op="syrk",
             tag=tag,
-            flops=float(flops),
+            flops=float(gram_evd_flops(handle.shape[mode], handle.size)),
             seconds=perf_counter() - start,
         )
         return factor
@@ -128,9 +148,11 @@ class SequentialBackend(ExecutionBackend):
     def sketch(self, handle, specs, *, tag="sketch"):
         start = perf_counter()
         if isinstance(handle, StoredTensor):
-            sketches, norm_sq = oc_sketch(handle, specs, 1, serial_map)
+            sketches, norm_sq = oc_sketch(
+                handle, specs, self.n_workers, self._map_blocks
+            )
         else:
-            sketches, norm_sq = sketch_arrays(handle, specs)
+            sketches, norm_sq = self._sketch_memory(handle, specs)
         flops = sum(sketch_flops(handle.shape, spec) for spec in specs)
         self.ledger.add_compute(
             op="gemm",
@@ -140,14 +162,13 @@ class SequentialBackend(ExecutionBackend):
         )
         return sketches, norm_sq
 
+    def _sketch_memory(self, handle, specs):
+        """All sketches plus the squared norm of an in-memory handle."""
+        return sketch_arrays(handle, specs)
+
     def cross_gram(self, handle, other, mode: int, *, tag="xgram"):
         start = perf_counter()
-        if isinstance(handle, StoredTensor):
-            g = oc_cross_gram(handle, other, mode, 1, serial_map)
-        else:
-            ua = unfold(handle, mode)
-            ub = unfold(other, mode)
-            g = ua @ ub.T
+        g = self._gram(handle, mode, other)
         self.ledger.add_compute(
             op="gemm",
             tag=tag,
@@ -161,7 +182,11 @@ class SequentialBackend(ExecutionBackend):
 
     def fro_norm_sq(self, handle, *, tag="norm") -> float:
         if isinstance(handle, StoredTensor):
-            return oc_norm_sq(handle, 1, serial_map)
+            return oc_norm_sq(handle, self.n_workers, self._map_blocks)
+        return self._norm_memory(handle)
+
+    def _norm_memory(self, handle) -> float:
+        """Squared Frobenius norm of an in-memory handle."""
         # sqrt-then-square matches the historical fro_norm()**2 path bit for
         # bit — it matters at the norm-identity cancellation floor.
         return float(np.linalg.norm(handle.ravel())) ** 2

@@ -37,11 +37,11 @@ from repro.tensor.linalg import (
     leading_left_singular_vectors,
 )
 from repro.tensor.ttm import ttm_chain
-from repro.tensor.unfold import unfold
 
 __all__ = [
     "SketchSpec",
     "add_block_contribution",
+    "block_partials",
     "core_sketch_spec",
     "factor_from_matrix",
     "mode_sketch_spec",
@@ -52,6 +52,7 @@ __all__ = [
     "sketch_flops",
     "sketch_width",
     "solve_core",
+    "sum_partials",
 ]
 
 
@@ -188,6 +189,40 @@ def add_block_contribution(
     return out
 
 
+def block_partials(dims, specs, split: int, lo: int, hi: int, block):
+    """One block's full-size contribution to every sketch, plus its norm².
+
+    The block spans ``[lo, hi)`` of mode ``split`` and every other mode
+    whole (``split=-1``: it is the whole tensor). Every blocked sketch
+    path — threaded, procpool, out-of-core — computes its per-block
+    partials here, so all of them are bit-identical.
+    """
+    block = np.ascontiguousarray(block)
+    ranges = tuple(
+        (lo, hi) if m == split else (0, int(d)) for m, d in enumerate(dims)
+    )
+    contribs = []
+    for spec in specs:
+        out = np.zeros(out_shape(dims, spec), dtype=block.dtype)
+        add_block_contribution(out, block, spec, ranges)
+        contribs.append(out)
+    flat = block.reshape(-1)
+    return contribs, float(np.dot(flat, flat))
+
+
+def sum_partials(
+    dims, specs, results, dtype
+) -> tuple[list[np.ndarray], float]:
+    """:func:`block_partials` results summed in ascending block order."""
+    outs = [np.zeros(out_shape(dims, spec), dtype=dtype) for spec in specs]
+    norm_sq = 0.0
+    for contribs, part in results:
+        for out, contrib in zip(outs, contribs):
+            out += contrib
+        norm_sq += part
+    return outs, float(norm_sq)
+
+
 def sketch_arrays(tensor: np.ndarray, specs) -> tuple[list[np.ndarray], float]:
     """Dense reference: all sketches plus ``||Y||_F^2`` in one logical pass."""
     tensor = np.asarray(tensor)
@@ -245,8 +280,3 @@ def solve_core(
     return ttm_chain(h, matrices, list(range(h.ndim))).astype(
         h.dtype, copy=False
     )
-
-
-def unfold_sketch(w: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` unfolding of a sketch tensor (thin re-export)."""
-    return unfold(w, mode)

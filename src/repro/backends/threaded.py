@@ -1,10 +1,13 @@
 """Shared-memory threaded backend — the first real-parallel path.
 
-Handles are plain ndarrays living in shared memory; each kernel partitions
-its work over the same near-even block ranges the distributed engine uses
-(:func:`repro.dist.blocks.block_ranges`) and fans the blocks out to a
-thread pool. NumPy releases the GIL inside BLAS, so the per-block dgemms
-genuinely overlap. Determinism is preserved by construction:
+The sequential backend with a thread pool as its block mapper: handles
+are plain ndarrays living in shared memory, each TTM and Gram kernel cuts
+the ``(P, L, Q)`` view of its operand into up to ``n_workers`` blocks
+(:func:`repro.backends.blockpar.pq_blocks`) and the pool runs them.
+NumPy releases the GIL inside BLAS, so the per-block dgemms genuinely
+overlap. While blocks fan out over the pool, BLAS itself is pinned to
+one thread (:mod:`repro.util.blas`), so the pool's threads are the only
+ones competing for cores. Determinism is preserved by construction:
 
 * TTM blocks write disjoint slices of a preallocated output (no reduction
   across threads at all);
@@ -18,38 +21,21 @@ is ever recorded — the honest ledger of a shared-memory machine.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from time import perf_counter
 
 import numpy as np
 
-from repro.backends.base import ExecutionBackend
 from repro.backends.blockpar import (
+    axis_index,
     block_slices,
     check_worker_count,
-    gram_evd_flops,
-    reduce_partials,
     split_mode,
 )
-from repro.backends.ockernels import (
-    oc_cross_gram,
-    oc_distribute,
-    oc_gram,
-    oc_norm_sq,
-    oc_sketch,
-    oc_ttm,
-)
-from repro.backends.sketch import (
-    add_block_contribution,
-    out_shape as sketch_out_shape,
-    sketch_flops,
-)
-from repro.storage import StoredTensor
-from repro.tensor.linalg import leading_eigvecs
-from repro.tensor.ttm import ttm
-from repro.tensor.unfold import unfold
+from repro.backends.sequential import SequentialBackend
+from repro.backends.sketch import block_partials, sum_partials
+from repro.util import blas
 
 
-class ThreadedBackend(ExecutionBackend):
+class ThreadedBackend(SequentialBackend):
     """Block-parallel execution over a thread pool.
 
     Parameters
@@ -80,8 +66,13 @@ class ThreadedBackend(ExecutionBackend):
             )
         return self._pool
 
+    @property
+    def blas_threads(self) -> int | None:
+        return blas.pool_threads(self.n_workers)
+
     def close(self) -> None:
-        """Shut the pool down; the backend stays usable (pool reopens)."""
+        """Shut the pool down; the backend stays usable (the pool comes
+        back on next use)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -96,69 +87,25 @@ class ThreadedBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=False)
 
-    # -- data placement -------------------------------------------------- #
+    # -- block mapping ---------------------------------------------------- #
 
-    def distribute(self, tensor: np.ndarray, grid, *, store=None):
-        if store is not None:
-            return oc_distribute(tensor, store)
-        return np.ascontiguousarray(tensor)
+    def _map_blocks(self, func, blocks) -> list:
+        """Blocks over the pool, results in submission (ascending) order;
+        a single block runs inline.
 
-    def gather(self, handle) -> np.ndarray:
-        if isinstance(handle, StoredTensor):
-            return handle.open()
-        return handle
-
-    def shape(self, handle) -> tuple[int, ...]:
-        return tuple(handle.shape)
-
-    # -- out-of-core fan-out ---------------------------------------------- #
-
-    def _oc_map(self, func, items) -> list:
-        """Blocks over the pool, results in submission (ascending) order."""
-        return list(self._executor().map(func, items))
+        BLAS is pinned to one thread for exactly the span of a fan-out,
+        so the pool's threads are the only ones on the cores while it
+        runs, and the rest of the process keeps its own count.
+        """
+        if len(blocks) == 1:
+            return [func(blocks[0])]
+        blas.pin()
+        try:
+            return list(self._executor().map(func, blocks))
+        finally:
+            blas.unpin()
 
     # -- kernels ---------------------------------------------------------- #
-
-    def ttm(
-        self, handle, matrix: np.ndarray, mode: int, *, tag="ttm"
-    ) -> np.ndarray:
-        start = perf_counter()
-        if isinstance(handle, StoredTensor):
-            out = oc_ttm(handle, matrix, mode, self.n_workers, self._oc_map)
-            self.ledger.add_compute(
-                op="gemm",
-                tag=tag,
-                flops=float(matrix.shape[0] * handle.size),
-                seconds=perf_counter() - start,
-            )
-            return out
-        split = split_mode(handle.shape, avoid=mode)
-        if split is None:
-            out = ttm(handle, matrix, mode)
-        else:
-            out_shape = (
-                handle.shape[:mode]
-                + (matrix.shape[0],)
-                + handle.shape[mode + 1 :]
-            )
-            out = np.empty(
-                out_shape, dtype=np.result_type(handle.dtype, matrix.dtype)
-            )
-
-            def work(sl: slice) -> None:
-                index: list[slice] = [slice(None)] * handle.ndim
-                index[split] = sl
-                out[tuple(index)] = ttm(handle[tuple(index)], matrix, mode)
-
-            slices = block_slices(handle.shape[split], self.n_workers)
-            list(self._executor().map(work, slices))
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(matrix.shape[0] * handle.size),
-            seconds=perf_counter() - start,
-        )
-        return out
 
     def leading_factor(
         self,
@@ -175,147 +122,36 @@ class ThreadedBackend(ExecutionBackend):
                 f"ThreadedBackend only supports the Gram+EVD route, "
                 f"got method={method!r}"
             )
-        start = perf_counter()
-        length = handle.shape[mode]
-        if isinstance(handle, StoredTensor):
-            g = oc_gram(handle, mode, self.n_workers, self._oc_map, out)
-            g = (g + g.T) * 0.5
-            factor = leading_eigvecs(g, k)
-            self.ledger.add_compute(
-                op="syrk",
-                tag=tag,
-                flops=float(gram_evd_flops(length, handle.size)),
-                seconds=perf_counter() - start,
-            )
-            return factor
-        split = split_mode(handle.shape, avoid=mode)
-        if split is None:
-            u = unfold(handle, mode)
-            g = u @ u.T
-        else:
-            slices = block_slices(handle.shape[split], self.n_workers)
-
-            def partial(sl: slice) -> np.ndarray:
-                index: list[slice] = [slice(None)] * handle.ndim
-                index[split] = sl
-                u = unfold(handle[tuple(index)], mode)
-                return u @ u.T
-
-            partials = list(self._executor().map(partial, slices))
-            g = reduce_partials(partials, length, out)
-        g = (g + g.T) * 0.5
-        flops = gram_evd_flops(length, handle.size)
-        factor = leading_eigvecs(g, k)
-        self.ledger.add_compute(
-            op="syrk",
-            tag=tag,
-            flops=float(flops),
-            seconds=perf_counter() - start,
+        return super().leading_factor(
+            handle, mode, k, tag=tag, method=method, out=out
         )
-        return factor
-
-    def sketch(self, handle, specs, *, tag="sketch"):
-        start = perf_counter()
-        if isinstance(handle, StoredTensor):
-            sketches, norm_sq = oc_sketch(
-                handle, specs, self.n_workers, self._oc_map
-            )
-        else:
-            sketches, norm_sq = self._sketch_memory(handle, specs)
-        flops = sum(sketch_flops(handle.shape, spec) for spec in specs)
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(flops) + float(handle.size),
-            seconds=perf_counter() - start,
-        )
-        return sketches, norm_sq
 
     def _sketch_memory(self, handle, specs):
         """In-memory blocked sketch: per-block partials, ascending sum."""
         dims = tuple(handle.shape)
-        full = tuple((0, int(d)) for d in dims)
         split = split_mode(dims, avoid=None)
         if split is None:
-            return self._sketch_block(handle, specs, dims, full)
-        slices = block_slices(dims[split], self.n_workers)
-
-        def partial(sl: slice):
-            index: list[slice] = [slice(None)] * handle.ndim
-            index[split] = sl
-            ranges = tuple(
-                (sl.start, sl.stop) if m == split else full[m]
-                for m in range(handle.ndim)
-            )
-            return self._sketch_block(handle[tuple(index)], specs, dims, ranges)
-
-        results = list(self._executor().map(partial, slices))
-        outs = [
-            np.zeros(sketch_out_shape(handle.shape, spec), dtype=handle.dtype)
-            for spec in specs
-        ]
-        norm_sq = 0.0
-        for contribs, part in results:  # ascending block order
-            for out, contrib in zip(outs, contribs):
-                out += contrib
-            norm_sq += part
-        return outs, float(norm_sq)
-
-    @staticmethod
-    def _sketch_block(block, specs, dims, ranges):
-        """One block's full-size sketch partials plus its norm partial."""
-        block = np.ascontiguousarray(block)
-        contribs = []
-        for spec in specs:
-            out = np.zeros(sketch_out_shape(dims, spec), dtype=block.dtype)
-            add_block_contribution(out, block, spec, ranges)
-            contribs.append(out)
-        flat = block.reshape(-1)
-        return contribs, float(np.dot(flat, flat))
-
-    def cross_gram(self, handle, other, mode: int, *, tag="xgram"):
-        start = perf_counter()
-        if isinstance(handle, StoredTensor):
-            g = oc_cross_gram(
-                handle, other, mode, self.n_workers, self._oc_map
-            )
+            results = [block_partials(dims, specs, -1, 0, 0, handle)]
         else:
-            split = split_mode(handle.shape, avoid=mode)
-            if split is None:
-                g = unfold(handle, mode) @ unfold(other, mode).T
-            else:
-                slices = block_slices(handle.shape[split], self.n_workers)
 
-                def partial(sl: slice) -> np.ndarray:
-                    index: list[slice] = [slice(None)] * handle.ndim
-                    index[split] = sl
-                    ua = unfold(handle[tuple(index)], mode)
-                    ub = unfold(other[tuple(index)], mode)
-                    return ua @ ub.T
+            def partial(sl: slice):
+                return block_partials(
+                    dims, specs, split, sl.start, sl.stop,
+                    handle[axis_index(handle.ndim, split, sl)],
+                )
 
-                partials = list(self._executor().map(partial, slices))
-                g = reduce_partials(partials, handle.shape[mode])
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(other.shape[mode]) * float(handle.size),
-            seconds=perf_counter() - start,
-        )
-        return g
+            results = self._map_blocks(
+                partial, block_slices(dims[split], self.n_workers)
+            )
+        return sum_partials(dims, specs, results, handle.dtype)
 
-    def regrid(self, handle, grid, *, tag="regrid"):
-        return handle
-
-    def fro_norm_sq(self, handle, *, tag="norm") -> float:
-        if isinstance(handle, StoredTensor):
-            return oc_norm_sq(handle, self.n_workers, self._oc_map)
+    def _norm_memory(self, handle) -> float:
+        """Blocked squared norm: per-block partials, ascending sum."""
         flat = handle.reshape(-1)
-        slices = block_slices(flat.shape[0], self.n_workers)
-        if len(slices) <= 1:
-            return float(np.dot(flat, flat))
 
         def partial(sl: slice) -> float:
             piece = flat[sl]
             return float(np.dot(piece, piece))
 
-        return float(sum(self._executor().map(partial, slices)))
+        slices = block_slices(flat.shape[0], self.n_workers)
+        return float(sum(self._map_blocks(partial, slices)))

@@ -110,7 +110,8 @@ class TuckerResult:
     executing backend and ``from_cache`` reports whether the compiled plan
     came from the session's plan cache. When the session runs with
     ``backend="auto"``, ``auto_selected`` is true and
-    ``selection_reason`` records why the selector chose this backend.
+    ``selection_reason`` records why the selector chose this backend
+    and the BLAS thread count its kernels ran with.
     ``ledger`` holds exactly this run's backend records — scoped, so a
     reused backend never inflates a later result's volumes — and
     ``stats`` is its uniform summary. ``storage`` reports where the
@@ -891,7 +892,10 @@ class TuckerSession:
             "backend": self.backend.name,
             "auto_selected": self._auto,
             "selection_reason": (
-                self._selection.reason if self._auto and self._selection else ""
+                f"{self._selection.reason}; BLAS threads "
+                f"{self.backend.blas_threads}"
+                if self._auto and self._selection
+                else ""
             ),
         }
 

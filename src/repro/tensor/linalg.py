@@ -12,6 +12,66 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+#: byte bound of one ``(L, slab)`` column slab the mode Gram copies
+#: together from several ``p``. Against one uncopied slab per ``p`` it
+#: ran 1.6-12x faster where ``Q`` is short (e.g. (3840, 56, 52) and
+#: (1352, 11, 10)) and level elsewhere; 128 KiB and 2 MiB bounds were no
+#: better (2-vCPU VM, OpenBLAS 0.3.31, one BLAS thread).
+GRAM_SLAB_BYTES = 1 << 19
+
+
+def _slabs(x3: np.ndarray, step: int):
+    """``(L, columns)`` matrices whose column blocks tile a ``(P, L, Q)`` view.
+
+    ``Q == 1`` yields one view. Otherwise ``step`` consecutive ``p`` make
+    one slab: a single ``p`` is a view, a wider group is copied — the
+    only temporary the Gram kernels make.
+    """
+    p_len, length, q_len = x3.shape
+    if q_len == 1:
+        yield x3[:, :, 0].T
+        return
+    for p in range(0, p_len, step):
+        group = x3[p : p + step]
+        if group.shape[0] == 1:
+            yield group[0]
+        else:
+            yield group.transpose(1, 0, 2).reshape(length, -1)
+
+
+def gram_pql(
+    x3: np.ndarray,
+    other3: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The mode Gram ``sum_p x3[p] @ x3[p].T`` of a ``(P, L, Q)`` view.
+
+    That is ``U U^T`` for the mode unfolding ``U``, built without the
+    unfolding: each slab adds ``s @ s.T``, which numpy runs as SYRK.
+    With ``other3`` (``(P, M, Q)``) it is the cross Gram
+    ``sum_p x3[p] @ other3[p].T`` instead. ``out``, when its shape and
+    dtype fit, receives the result (a plan's preallocated workspace).
+    """
+    length = x3.shape[1]
+    width = length if other3 is None else other3.shape[1]
+    dtype = np.result_type(x3, other3) if other3 is not None else x3.dtype
+    if out is None or out.shape != (length, width) or out.dtype != dtype:
+        out = np.empty((length, width), dtype=dtype)
+    # The slab width depends on the shape alone, so the summation order
+    # is fixed; both operands of a cross Gram share it.
+    step = max(1, GRAM_SLAB_BYTES // (length * x3.shape[2] * x3.itemsize))
+    pairs = (
+        ((s, s) for s in _slabs(x3, step))
+        if other3 is None
+        else zip(_slabs(x3, step), _slabs(other3, step))
+    )
+    for i, (a, b) in enumerate(pairs):
+        if i == 0:
+            np.matmul(a, b.T, out=out)
+        else:
+            out += a @ b.T
+    return out
+
 
 def gram(matrix: np.ndarray) -> np.ndarray:
     """Return ``matrix @ matrix.T`` symmetrized (syrk-style).

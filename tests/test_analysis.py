@@ -366,6 +366,23 @@ class TestProtocolDrift:
         out = findings(ProtocolDriftRule(), base, impl)
         assert len(out) == 1 and "positional" in out[0].message
 
+    def test_indirect_subclass_overrides_checked(self):
+        base = ctx("src/repro/backends/base.py", BASE_MODULE)
+        impl = ctx("src/repro/backends/bad.py", """
+            from repro.backends.base import ExecutionBackend
+            class GoodBackend(ExecutionBackend):
+                def ttm(self, handle, matrix, mode, *, tag="ttm"):
+                    return handle
+                def gather(self, handle):
+                    return handle
+            class PoolBackend(GoodBackend):
+                def ttm(self, handle, matrix, mode, *, tag="TTM"):
+                    return handle
+        """)
+        out = findings(ProtocolDriftRule(), base, impl)
+        # the inherited gather is not "missing"; the drifted ttm is flagged
+        assert len(out) == 1 and "PoolBackend.ttm" in out[0].message
+
     def test_non_backend_classes_ignored(self):
         base = ctx("src/repro/backends/base.py", BASE_MODULE)
         other = ctx("src/repro/other.py", """

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.tensor import linalg
 from repro.tensor.linalg import (
     deterministic_sign,
     gram,
+    gram_pql,
     leading_eigvecs,
     leading_left_singular_vectors,
 )
+from repro.tensor.ttm import as_pql, ttm
 
 
 class TestGram:
@@ -95,3 +100,84 @@ class TestLeadingLeftSingularVectors:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             leading_left_singular_vectors(np.eye(3), 1, method="magic")
+
+
+# --------------------------------------------------------------------- #
+# the matricization-free Gram kernels against an einsum reference
+# --------------------------------------------------------------------- #
+
+LETTERS = "abcdefgh"
+
+
+def einsum_cross_gram(a, b, mode):
+    ia = LETTERS[: a.ndim]
+    ib = ia[:mode] + "z" + ia[mode + 1 :]
+    return np.einsum(f"{ia},{ib}->{ia[mode]}z", a, b)
+
+
+def layout(t, how):
+    if how == "transposed":
+        return np.ascontiguousarray(t.T).T
+    if how == "strided":
+        big = np.zeros(t.shape[:-1] + (2 * t.shape[-1],), dtype=t.dtype)
+        big[..., ::2] = t
+        return big[..., ::2]
+    return t
+
+
+def tol(dtype):
+    return {"rtol": 1e-4, "atol": 1e-3} if dtype == np.float32 else {
+        "rtol": 1e-10, "atol": 1e-11}
+
+
+gram_cases = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([np.float64, np.float32]),
+    st.sampled_from(["contiguous", "transposed", "strided"]),
+    st.integers(min_value=0, max_value=999),
+)
+
+
+class TestMatricizationFreeGram:
+    @given(gram_cases, st.sampled_from([1 << 19, 64]))
+    @settings(max_examples=60)
+    def test_mode_gram_matches_einsum(self, case, slab_bytes):
+        dims, mode, dtype, how, seed = case
+        mode %= len(dims)
+        t = layout(
+            np.random.default_rng(seed).standard_normal(dims).astype(dtype),
+            how,
+        )
+        # 64 bytes forces single-p slabs; the default groups several p
+        old = linalg.GRAM_SLAB_BYTES
+        linalg.GRAM_SLAB_BYTES = slab_bytes
+        try:
+            g = gram_pql(as_pql(t, mode))
+        finally:
+            linalg.GRAM_SLAB_BYTES = old
+        assert g.dtype == dtype
+        np.testing.assert_allclose(
+            g, einsum_cross_gram(t, t, mode), **tol(dtype)
+        )
+        np.testing.assert_array_equal(g, g.T)
+
+    @given(gram_cases, st.integers(min_value=1, max_value=6))
+    def test_cross_gram_matches_einsum(self, case, k):
+        dims, mode, dtype, how, seed = case
+        mode %= len(dims)
+        rng = np.random.default_rng(seed)
+        t = layout(rng.standard_normal(dims).astype(dtype), how)
+        z = ttm(t, rng.standard_normal((k, dims[mode])).astype(dtype), mode)
+        g = gram_pql(as_pql(t, mode), as_pql(z, mode))
+        assert g.shape == (dims[mode], k)
+        np.testing.assert_allclose(
+            g, einsum_cross_gram(t, z, mode), **tol(dtype)
+        )
+
+    def test_workspace_used_when_it_fits(self):
+        t = np.random.default_rng(3).standard_normal((4, 5, 6))
+        work = np.empty((5, 5))
+        assert gram_pql(as_pql(t, 1), out=work) is work
+        wrong = np.empty((5, 5), dtype=np.float32)
+        assert gram_pql(as_pql(t, 1), out=wrong) is not wrong

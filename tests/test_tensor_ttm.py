@@ -101,3 +101,102 @@ class TestTTMChain:
     def test_matrix_count_mismatch(self):
         with pytest.raises(ValueError, match="one matrix per mode"):
             ttm_chain(np.zeros((2, 2)), [np.eye(2)], [0, 1])
+
+
+# --------------------------------------------------------------------- #
+# the matricization-free kernel against an einsum reference
+# --------------------------------------------------------------------- #
+
+LETTERS = "abcdefgh"
+
+
+def einsum_ttm(t, a, mode):
+    idx = LETTERS[: t.ndim]
+    out = idx[:mode] + "z" + idx[mode + 1 :]
+    return np.einsum(f"{idx},z{idx[mode]}->{out}", t, a)
+
+
+def layout(t, how):
+    """``t``'s values in a contiguous, transposed-view or strided array."""
+    if how == "transposed":
+        return np.ascontiguousarray(t.T).T
+    if how == "strided":
+        big = np.zeros(t.shape[:-1] + (2 * t.shape[-1],), dtype=t.dtype)
+        big[..., ::2] = t
+        return big[..., ::2]
+    return t
+
+
+def tol(dtype):
+    return {"rtol": 1e-4, "atol": 1e-4} if dtype == np.float32 else {
+        "rtol": 1e-10, "atol": 1e-12}
+
+
+kernel_cases = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from([np.float64, np.float32]),
+    st.sampled_from(["contiguous", "transposed", "strided"]),
+    st.integers(min_value=0, max_value=999),
+)
+
+
+class TestMatricizationFreeTTM:
+    @given(kernel_cases)
+    def test_matches_einsum_every_mode(self, case):
+        dims, mode, k, dtype, how, seed = case
+        mode %= len(dims)
+        rng = np.random.default_rng(seed)
+        t = layout(rng.standard_normal(dims).astype(dtype), how)
+        a = rng.standard_normal((k, dims[mode])).astype(dtype)
+        z = ttm(t, a, mode)
+        assert z.dtype == dtype and z.flags["C_CONTIGUOUS"]
+        np.testing.assert_allclose(z, einsum_ttm(t, a, mode), **tol(dtype))
+
+    @given(kernel_cases, st.booleans())
+    def test_out_into_slice_of_larger_buffer(self, case, along_mode):
+        dims, mode, k, dtype, how, seed = case
+        mode %= len(dims)
+        rng = np.random.default_rng(seed)
+        t = layout(rng.standard_normal(dims).astype(dtype), how)
+        a = rng.standard_normal((k, dims[mode])).astype(dtype)
+        out_shape = list(dims)
+        out_shape[mode] = k
+        # a slice along the kernel's own mode (never a (P, K, Q) view when
+        # modes follow it) or along the leading mode (always one)
+        axis = mode if along_mode else 0
+        big_shape = list(out_shape)
+        big_shape[axis] += 3
+        big = np.full(big_shape, 7.0, dtype=dtype)
+        index = [slice(None)] * len(dims)
+        index[axis] = slice(1, 1 + out_shape[axis])
+        out = big[tuple(index)]
+        assert ttm(t, a, mode, out=out) is out
+        np.testing.assert_allclose(out, einsum_ttm(t, a, mode), **tol(dtype))
+        untouched = np.ones(big_shape, dtype=bool)
+        untouched[tuple(index)] = False
+        assert np.all(big[untouched] == 7.0)
+
+    @pytest.mark.parametrize(
+        "dims, mode",
+        [
+            ((7, 5, 6), 0),  # P == 1
+            ((5, 6, 7), 2),  # Q == 1
+            ((6, 1, 5), 1),  # length-1 mode
+            ((1, 6, 1), 1),  # P == Q == 1
+            ((9,), 0),  # 1-D
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_degenerate_views(self, dims, mode, k):
+        rng = np.random.default_rng(k)
+        t = rng.standard_normal(dims)
+        a = rng.standard_normal((k, dims[mode]))
+        np.testing.assert_allclose(
+            ttm(t, a, mode), einsum_ttm(t, a, mode), rtol=1e-12
+        )
+
+    def test_out_shape_checked(self):
+        with pytest.raises(ValueError, match="out has shape"):
+            ttm(np.zeros((3, 4)), np.zeros((2, 4)), 1, out=np.zeros((3, 3)))
