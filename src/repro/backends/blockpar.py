@@ -11,7 +11,8 @@ stay views; a TTM block writes its own disjoint slice of the output, and
 Gram partials add up in ascending block order (:func:`reduce_partials`,
 optionally into a preallocated workspace). The out-of-core kernels keep
 their own budget-bounded geometry (:func:`oc_block_slices` along
-:func:`split_mode`). The ledger FLOP formulas live here too. Keeping all
+:func:`split_mode`), which the process pool groups into one contiguous
+run per worker (:func:`worker_runs`). The ledger FLOP formulas live here too. Keeping all
 of it in one place guarantees the two pool backends perform *identical*
 floating-point operations in *identical* reduction order — which is what
 lets the conformance harness hold every backend to the sequential
@@ -133,6 +134,18 @@ def oc_block_slices(
     return [slice(a, b) for a, b in block_ranges(shape[split], n_blocks)]
 
 
+def worker_runs(slices: list[slice], n_workers: int) -> list[list[slice]]:
+    """Cut ``slices`` into at most ``n_workers`` contiguous runs.
+
+    Runs are near-even by block count and, concatenated, give back
+    ``slices`` in order. A pool task carries one run, so a kernel submits
+    at most one task per worker however many blocks the budget cuts, and
+    per-block results flattened run by run stay in ascending block order.
+    """
+    n_runs = min(n_workers, len(slices))
+    return [slices[a:b] for a, b in block_ranges(len(slices), n_runs)]
+
+
 #: resident charge per in-flight out-of-core block, as a multiple of the
 #: block's bytes: the read copy, the kernel temporary (a Gram slab or a
 #: reshape copy), and the output slab. Sessions size ``max_block_bytes`` as
@@ -183,4 +196,5 @@ __all__ = [
     "pq_blocks",
     "reduce_partials",
     "split_mode",
+    "worker_runs",
 ]

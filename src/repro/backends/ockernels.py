@@ -8,7 +8,9 @@ time under a :class:`~repro.storage.ResidentGauge` lease, runs the same
 matricization-free TTM/Gram kernels as the in-memory paths on it, and
 writes TTM outputs straight into a freshly allocated store block — so the
 full tensor is never resident, only ``O(block)`` bytes per in-flight
-worker.
+worker. Output blocks are scratch files and are never flushed (``msync``):
+later kernels read them back through the same page cache, and the
+blocks of a crashed run are only reclaimed, never read.
 
 The two backends differ only in how blocks are mapped over workers, so
 each kernel takes a ``map_fn``: the backend's block mapper (in line for
@@ -19,8 +21,9 @@ deterministic and agree with the in-memory reference to the conformance
 harness's 1e-10.
 
 The process-pool backend does not use these (its workers map the spill
-files directly — see :mod:`repro.backends.procpool`), but shares the
-block geometry, so all three cut identical blocks for a given store.
+files directly, one contiguous run of blocks per worker task — see
+:mod:`repro.backends.procpool`), but shares the block geometry, so all
+three cut identical blocks for a given store.
 """
 
 from __future__ import annotations
@@ -109,8 +112,9 @@ def oc_ttm(
                     ttm(src[index], matrix, mode, out=dst[index])
 
             map_fn(work, slices)
-        if hasattr(dst, "flush"):
-            dst.flush()
+        # No msync: the output is a scratch spill block that later
+        # kernels read through this host's page cache, and a crashed
+        # run's blocks are only ever reclaimed, never read back.
     finally:
         del dst, src
     return out

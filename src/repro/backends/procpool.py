@@ -38,9 +38,16 @@ Out-of-core runs swap the transport: when the handle is a
 :class:`~repro.storage.StoredTensor` (a spill block or a lazily opened
 ``.npy``), workers ``np.memmap`` the underlying *files* directly — read-
 only for inputs, read-write disjoint slices for outputs — instead of
-copying the tensor through ``shared_memory``. Task messages shrink to
-paths plus geometry, and a tensor larger than RAM streams through the
-pool one budget-bounded block per worker at a time.
+copying the tensor through ``shared_memory``. Each kernel groups the
+store's budget-bounded blocks into one contiguous run per worker
+(:func:`~repro.backends.blockpar.worker_runs`): at most ``n_workers``
+tasks, each mapping its files once and walking its run one block at a
+time, so a tensor larger than RAM streams through the pool with one
+block per worker resident. Partials are flattened in ascending block
+order, so grouping never changes a result. Output blocks are never
+``msync``-ed: they are scratch files that readers on the same host see
+through the shared page cache, and a crashed run's files are only ever
+reclaimed, never read back.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from repro.backends.blockpar import (
     pq_blocks,
     reduce_partials,
     split_mode,
+    worker_runs,
 )
 from repro.backends.errors import BackendUnavailableError
 from repro.backends.ockernels import (
@@ -198,8 +206,7 @@ def _run_timed(func, *args):
 
     ``perf_counter`` is CLOCK_MONOTONIC on Linux — shared across
     processes — so the fragment's timestamps land directly on the
-    parent's trace timeline. Only used when tracing is enabled; the
-    untraced path submits the task function bare.
+    parent's trace timeline (traced runs keep it as a span).
     """
     t0 = perf_counter()
     value = func(*args)
@@ -284,8 +291,8 @@ def _norm_block(name, shape, dtype, lo, hi):
 # When the source tensor is mmap-backed (a StoredTensor: a spill block or
 # a lazily opened .npy), workers map the *files* directly instead of
 # copying the tensor through shared_memory segments — a task message is
-# just paths + geometry, and the only bytes that move are the pages each
-# worker actually touches.
+# just paths + geometry + a run of blocks, and the only bytes that move
+# are the pages each worker actually touches.
 # --------------------------------------------------------------------- #
 
 
@@ -315,51 +322,60 @@ def _mappable(handle: StoredTensor):
 def _ttm_block_file(
     in_path, in_offset, in_shape, in_dtype,
     out_path, out_shape, out_dtype,
-    matrix, mode, split, lo, hi,
+    matrix, mode, split, run,
 ) -> None:
-    """One TTM block: map input ro + output r+, write a disjoint slice."""
+    """TTM blocks: map input ro + output r+, write disjoint slices."""
     src = _map_file(in_path, in_offset, in_shape, in_dtype, "r")
     dst = _map_file(out_path, 0, out_shape, out_dtype, "r+")
     try:
-        index = axis_index(len(in_shape), split, slice(lo, hi))
-        ttm(src[index], matrix, mode, out=dst[index])
-        dst.flush()
+        for sl in run:
+            index = axis_index(len(in_shape), split, sl)
+            ttm(src[index], matrix, mode, out=dst[index])
+        # No msync: the output is a scratch spill block that readers on
+        # this host see through the page cache, and a crashed run's
+        # blocks are only ever reclaimed, never read back.
     finally:
         del src, dst
 
 
-def _gram_block_file(tensors, mode, split, lo, hi):
-    """One Gram partial read straight off mapped files.
+def _gram_block_file(tensors, mode, split, run) -> list:
+    """Gram partials, one per block, read straight off mapped files.
 
     ``tensors`` holds one ``(path, offset, shape, dtype)`` file, or two
-    for a cross-Gram partial.
+    for cross-Gram partials.
     """
     srcs = [_map_file(*tensor, "r") for tensor in tensors]
     try:
-        index = axis_index(len(tensors[0][2]), split, slice(lo, hi))
-        return gram_pql(*(as_pql(src[index], mode) for src in srcs))
+        index = [axis_index(len(tensors[0][2]), split, sl) for sl in run]
+        return [
+            gram_pql(*(as_pql(src[ix], mode) for src in srcs)) for ix in index
+        ]
     finally:
         del srcs
 
 
-def _sketch_block_file(path, offset, shape, dtype, specs, split, lo, hi):
-    """Sketch partials of one block read straight off the mapped file."""
+def _sketch_block_file(path, offset, shape, dtype, specs, split, run) -> list:
+    """Sketch partials, one per block, read straight off the mapped file."""
     src = _map_file(path, offset, shape, dtype, "r")
     try:
-        return block_partials(
-            tuple(shape), specs, split, lo, hi,
-            src[axis_index(len(shape), split, slice(lo, hi))],
-        )
+        return [
+            block_partials(
+                tuple(shape), specs, split, sl.start, sl.stop,
+                src[axis_index(len(shape), split, sl)],
+            )
+            for sl in run
+        ]
     finally:
         del src
 
 
-def _norm_block_file(path, offset, shape, dtype, lo, hi):
-    """Partial squared norm of the flat range ``[lo, hi)`` off the file."""
+def _norm_block_file(path, offset, shape, dtype, run) -> list:
+    """Partial squared norms of flat ranges, one per block, off the file."""
     src = _map_file(path, offset, shape, dtype, "r")
     try:
-        piece = np.ascontiguousarray(src.reshape(-1)[lo:hi])
-        return float(np.dot(piece, piece))
+        flat = src.reshape(-1)
+        pieces = (np.ascontiguousarray(flat[sl]) for sl in run)
+        return [float(np.dot(piece, piece)) for piece in pieces]
     finally:
         del src
 
@@ -441,19 +457,28 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # -- helpers ----------------------------------------------------------- #
 
-    def _await_all(self, futures, owned: tuple = ()) -> list:
-        """Collect fan-out results; on failure leave the backend healthy.
+    def _run_tasks(self, label: str, task, arg_lists, owned: tuple = ()):
+        """Submit ``task(*args)`` per entry of ``arg_lists``; collect in order.
 
         A worker exception must not poison the backend: pending tasks are
         cancelled and drained first (so no worker is still writing when
         segments go away), then every handle in ``owned`` — output
         segments that will never reach the caller — is unlinked so
         ``/dev/shm`` stays clean. A pool whose workers died
-        (:class:`BrokenProcessPool`) is shut down and dropped; the next
+        (:class:`BrokenProcessPool`, raised by a result or by a submit
+        that lands after the death) is shut down and dropped; the next
         kernel transparently spins up a fresh one.
+
+        Traced, each task's span fragment becomes a ``kind="worker"``
+        span named ``worker:{label}`` parented on the currently open span
+        (the enclosing kernel's phase); a failed fan-out records none.
         """
+        futures = []
         try:
-            return [f.result() for f in futures]
+            pool = self._executor()
+            for args in arg_lists:
+                futures.append(pool.submit(_run_timed, task, *args))
+            results = [f.result() for f in futures]
         except BaseException as exc:
             for f in futures:
                 f.cancel()
@@ -464,31 +489,12 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._pool.shutdown(wait=False)
                 self._pool = None
             raise
-
-    def _submit(self, func, *args):
-        """Submit one worker task, wrapped for span capture when traced."""
         if self.tracer.enabled:
-            return self._executor().submit(_run_timed, func, *args)
-        return self._executor().submit(func, *args)
-
-    def _collect(self, label: str, futures, owned: tuple = ()) -> list:
-        """:meth:`_await_all`, unwrapping traced span fragments.
-
-        Each fragment becomes a ``kind="worker"`` span named
-        ``worker:{label}`` parented on the currently open span (the
-        enclosing kernel's phase). Fragments of a failed fan-out are
-        dropped with their results — `_await_all` raises first.
-        """
-        results = self._await_all(futures, owned)
-        if not self.tracer.enabled:
-            return results
-        out = []
-        for (pid, t0, t1), value in results:
-            self.tracer.add_span(
-                f"worker:{label}", t0, t1, kind="worker", pid=pid
-            )
-            out.append(value)
-        return out
+            for (pid, t0, t1), _ in results:
+                self.tracer.add_span(
+                    f"worker:{label}", t0, t1, kind="worker", pid=pid
+                )
+        return [value for _, value in results]
 
     def _store(self, array: np.ndarray) -> ShmTensor:
         handle = ShmTensor(array.shape, array.dtype)
@@ -521,9 +527,12 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # -- out-of-core fan-out ---------------------------------------------- #
 
-    def _stored_slices(self, handle: StoredTensor, split: int) -> list[slice]:
+    def _stored_slices(
+        self, handle: StoredTensor, split: int, shape=None
+    ) -> list[slice]:
+        """Budget-bounded blocks of ``handle`` (viewed as ``shape``)."""
         return oc_block_slices(
-            handle.shape,
+            shape or handle.shape,
             split,
             handle.dtype.itemsize,
             handle.store.per_block_bytes(self.n_workers),
@@ -546,6 +555,24 @@ class ProcessPoolBackend(ExecutionBackend):
             OC_LEASE_FACTOR * biggest * slab * concurrency
         )
 
+    def _fan_out_stored(
+        self, label, task, args, slices, handles, owned: tuple = ()
+    ) -> list:
+        """Run ``task(*args, run)`` once per worker run of ``slices``.
+
+        One task per worker (:func:`~repro.backends.blockpar
+        .worker_runs`), under the leases of every mapped handle. Tasks
+        return one result per block (TTM tasks write in place and return
+        ``None``); they come back flattened in ascending block order.
+        """
+        with ExitStack() as leases:
+            for h in handles:
+                leases.enter_context(self._worker_lease(h, slices))
+            runs = worker_runs(slices, self.n_workers)
+            tasks = [(*args, run) for run in runs]
+            parts = self._run_tasks(label, task, tasks, owned)
+        return [value for part in parts for value in (part or ())]
+
     # -- kernels ---------------------------------------------------------- #
 
     def _ttm_stored(
@@ -561,19 +588,14 @@ class ProcessPoolBackend(ExecutionBackend):
         out_shape = ttm_shape(handle.shape, mode, matrix.shape[0])
         out_dtype = np.result_type(handle.dtype, matrix.dtype)
         out = StoredTensor.allocate(handle.store, out_shape, out_dtype)
+        args = (
+            in_path, in_offset, handle.shape, handle.dtype.str,
+            out.path, out_shape, out_dtype.str, matrix, mode, split,
+        )
         slices = self._stored_slices(handle, split)
-        with self._worker_lease(handle, slices):
-            futures = [
-                self._submit(
-                    _ttm_block_file,
-                    in_path, in_offset, handle.shape,
-                    handle.dtype.str,
-                    out.path, out_shape, out_dtype.str,
-                    matrix, mode, split, sl.start, sl.stop,
-                )
-                for sl in slices
-            ]
-            self._collect("ttm", futures, owned=(out,))
+        self._fan_out_stored(
+            "ttm", _ttm_block_file, args, slices, (handle,), owned=(out,)
+        )
         return out
 
     def _ttm_memory(self, handle: ShmTensor, matrix, mode: int) -> ShmTensor:
@@ -589,16 +611,12 @@ class ProcessPoolBackend(ExecutionBackend):
                 out.close()  # never reaches the caller
                 raise
             return out
-        futures = [
-            self._submit(
-                _ttm_block,
-                handle.name, handle.shape, handle.dtype.str,
-                out.name, out_shape, out_dtype.str,
-                matrix, mode, index,
-            )
-            for index in blocks
-        ]
-        self._collect("ttm", futures, owned=(out,))
+        head = (
+            handle.name, handle.shape, handle.dtype.str,
+            out.name, out_shape, out_dtype.str, matrix, mode,
+        )
+        tasks = [(*head, index) for index in blocks]
+        self._run_tasks("ttm", _ttm_block, tasks, owned=(out,))
         return out
 
     def ttm(self, handle, matrix: np.ndarray, mode: int, *, tag="ttm"):
@@ -627,31 +645,22 @@ class ProcessPoolBackend(ExecutionBackend):
             ]
             if split is None or None in mapped:
                 return oc_gram(handle, mode, 1, serial_map, out, other)
-            slices = self._stored_slices(handle, split)
             tensors = tuple(
                 (path, offset, h.shape, h.dtype.str)
                 for (path, offset), h in zip(mapped, handles)
             )
-            with ExitStack() as leases:
-                for h in handles:
-                    leases.enter_context(self._worker_lease(h, slices))
-                futures = [
-                    self._submit(
-                        _gram_block_file, tensors, mode, split,
-                        sl.start, sl.stop,
-                    )
-                    for sl in slices
-                ]
-                partials = self._collect(label, futures)
+            slices = self._stored_slices(handle, split)
+            partials = self._fan_out_stored(
+                label, _gram_block_file, (tensors, mode, split), slices,
+                handles,
+            )
             return reduce_partials(partials, out)
         blocks = pq_blocks(pql_shape(handle.shape, mode), self.n_workers)
         if len(blocks) == 1:
             return gram_pql(*(as_pql(h.array, mode) for h in handles), out=out)
         tensors = tuple((h.name, h.shape, h.dtype.str) for h in handles)
-        futures = [
-            self._submit(_gram_block, tensors, mode, index) for index in blocks
-        ]
-        return reduce_partials(self._collect(label, futures), out)
+        tasks = [(tensors, mode, index) for index in blocks]
+        return reduce_partials(self._run_tasks(label, _gram_block, tasks), out)
 
     def leading_factor(
         self,
@@ -685,17 +694,11 @@ class ProcessPoolBackend(ExecutionBackend):
         if split is None or mapped is None:
             return oc_sketch(handle, specs, 1, serial_map)
         path, offset = mapped
+        args = (path, offset, handle.shape, handle.dtype.str, specs, split)
         slices = self._stored_slices(handle, split)
-        with self._worker_lease(handle, slices):
-            futures = [
-                self._submit(
-                    _sketch_block_file,
-                    path, offset, handle.shape,
-                    handle.dtype.str, specs, split, sl.start, sl.stop,
-                )
-                for sl in slices
-            ]
-            results = self._collect("sketch", futures)
+        results = self._fan_out_stored(
+            "sketch", _sketch_block_file, args, slices, (handle,)
+        )
         return sum_partials(handle.shape, specs, results, handle.dtype)
 
     def sketch(self, handle, specs, *, tag="sketch"):
@@ -709,15 +712,12 @@ class ProcessPoolBackend(ExecutionBackend):
             if split is None or not self._parallel():
                 results = [block_partials(dims, specs, -1, 0, 0, handle.array)]
             else:
-                futures = [
-                    self._submit(
-                        _sketch_block,
-                        handle.name, handle.shape, handle.dtype.str,
-                        specs, split, sl.start, sl.stop,
-                    )
+                head = (handle.name, dims, handle.dtype.str, specs, split)
+                tasks = [
+                    (*head, sl.start, sl.stop)
                     for sl in block_slices(dims[split], self.n_workers)
                 ]
-                results = self._collect("sketch", futures)
+                results = self._run_tasks("sketch", _sketch_block, tasks)
             sketches, norm_sq = sum_partials(
                 dims, specs, results, handle.dtype
             )
@@ -745,29 +745,17 @@ class ProcessPoolBackend(ExecutionBackend):
         return handle
 
     def _norm_stored(self, handle: StoredTensor) -> float:
-        slices = oc_block_slices(
-            (handle.size,),
-            0,
-            handle.dtype.itemsize,
-            handle.store.per_block_bytes(self.n_workers),
-            self.n_workers,
-        )
+        slices = self._stored_slices(handle, 0, (handle.size,))
         mapped = _mappable(handle) if self._parallel() else None
         if len(slices) <= 1 or mapped is None:
             return oc_norm_sq(handle, 1, serial_map)
         path, offset = mapped
         # flat slices cover handle.size, so _worker_lease's slab reduces
         # to the itemsize — one formula for every fan-out
-        with self._worker_lease(handle, slices):
-            futures = [
-                self._submit(
-                    _norm_block_file,
-                    path, offset, handle.shape,
-                    handle.dtype.str, sl.start, sl.stop,
-                )
-                for sl in slices
-            ]
-            partials = self._collect("norm", futures)
+        args = (path, offset, handle.shape, handle.dtype.str)
+        partials = self._fan_out_stored(
+            "norm", _norm_block_file, args, slices, (handle,)
+        )
         # Ascending block order, same as every other backend.
         return float(sum(partials))
 
@@ -778,13 +766,7 @@ class ProcessPoolBackend(ExecutionBackend):
         if len(slices) <= 1 or not self._parallel():
             flat = handle.array.reshape(-1)
             return float(np.dot(flat, flat))
-        futures = [
-            self._submit(
-                _norm_block,
-                handle.name, handle.shape, handle.dtype.str,
-                sl.start, sl.stop,
-            )
-            for sl in slices
-        ]
+        head = (handle.name, handle.shape, handle.dtype.str)
+        tasks = [(*head, sl.start, sl.stop) for sl in slices]
         # Ascending block order, same as the threaded backend.
-        return float(sum(self._collect("norm", futures)))
+        return float(sum(self._run_tasks("norm", _norm_block, tasks)))

@@ -193,6 +193,7 @@ def cmd_decompose(args) -> int:
         "from_cache": result.from_cache,
         "auto_selected": result.auto_selected,
         "selection_reason": result.selection_reason,
+        "blas_threads": result.blas_threads,
         "storage": result.storage,
         "storage_reason": result.storage_reason,
         "spill_codec": result.spill_codec,

@@ -180,6 +180,7 @@ class RequestResult:
     affinity_hit: bool = False
     storage: str = ""
     backend: str = ""
+    blas_threads: int | None = None
     from_cache: bool = False
     saved: str | None = None
     #: the full in-process TuckerResult (never serialized over the wire)
@@ -199,6 +200,7 @@ class RequestResult:
             "affinity_hit": self.affinity_hit,
             "storage": self.storage,
             "backend": self.backend,
+            "blas_threads": self.blas_threads,
             "from_cache": self.from_cache,
             "saved": self.saved,
         }

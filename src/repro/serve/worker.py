@@ -201,6 +201,7 @@ class ServeWorker:
             affinity_hit=ticket.affinity_hit,
             storage=result.storage,
             backend=result.backend,
+            blas_threads=result.blas_threads,
             from_cache=result.from_cache,
             saved=saved,
             value=result,

@@ -111,7 +111,9 @@ class TuckerResult:
     came from the session's plan cache. When the session runs with
     ``backend="auto"``, ``auto_selected`` is true and
     ``selection_reason`` records why the selector chose this backend
-    and the BLAS thread count its kernels ran with.
+    and the BLAS thread count its kernels ran with. ``blas_threads`` is
+    that count on every run, auto or explicit (``None`` when numpy's
+    BLAS does not expose it).
     ``ledger`` holds exactly this run's backend records — scoped, so a
     reused backend never inflates a later result's volumes — and
     ``stats`` is its uniform summary. ``storage`` reports where the
@@ -151,6 +153,7 @@ class TuckerResult:
     from_cache: bool = False
     auto_selected: bool = False
     selection_reason: str = ""
+    blas_threads: int | None = None
     ledger: StatsLedger | None = None
     storage: str = "memory"
     storage_reason: str = ""
@@ -888,15 +891,16 @@ class TuckerSession:
 
     def _result_meta(self) -> dict:
         """Backend/selection fields shared by every TuckerResult."""
+        threads = self.backend.blas_threads
         return {
             "backend": self.backend.name,
             "auto_selected": self._auto,
             "selection_reason": (
-                f"{self._selection.reason}; BLAS threads "
-                f"{self.backend.blas_threads}"
+                f"{self._selection.reason}; BLAS threads {threads}"
                 if self._auto and self._selection
                 else ""
             ),
+            "blas_threads": threads,
         }
 
     # -- tracing ----------------------------------------------------------- #

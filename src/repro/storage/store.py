@@ -770,7 +770,9 @@ class MmapStore(BlockStore):
                     stop = min(array.shape[0], start + rows)
                     with self.gauge.lease((stop - start) * row_bytes):
                         mm[start:stop] = array[start:stop]
-            mm.flush()
+            # No msync: spill blocks are scratch files. Readers on this
+            # host see the writes through the shared page cache, and a
+            # crashed run's files are only ever reclaimed, never read.
         finally:
             del mm
 
@@ -999,7 +1001,8 @@ class MmapStore(BlockStore):
                     (stop - start) * meta.dtype.itemsize
                 ):
                     dst_mm[start:stop] = src_mm[start:stop]
-            dst_mm.flush()
+            # No msync, as in _spill_copy: a scratch file read back only
+            # through this host's page cache.
         finally:
             del src_mm, dst_mm
 

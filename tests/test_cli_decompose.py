@@ -7,6 +7,7 @@ import pytest
 
 from repro.backends import BACKEND_NAMES
 from repro.cli import main
+from repro.util import blas
 
 
 class TestDecomposeRandom:
@@ -47,6 +48,7 @@ class TestDecomposeRandom:
         assert payload["dims"] == [12, 10, 8]
         assert payload["core"] == [4, 3, 2]
         assert payload["backend"] == "simcluster"
+        assert payload["blas_threads"] == blas.get_num_threads()
         assert payload["n_iters"] == 2
         assert payload["ledger"]["comm_volume"] > 0
         assert 0.0 <= payload["error"] <= 1.0

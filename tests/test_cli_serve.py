@@ -41,6 +41,7 @@ class TestServeCli:
         assert rc == 0
         assert [r.get("id") for r in out[:2]] == ["path", "rand"]
         assert all(r["ok"] for r in out[:2])
+        assert all("blas_threads" in r for r in out[:2])
         assert out[2]["op"] == "stats"
         assert out[3]["op"] == "drain" and out[3]["ok"]
         assert out[3]["completed"] == 2.0

@@ -4,9 +4,14 @@ The threaded and process-pool backends cut each kernel's ``(P, L, Q)``
 view along ``P``, or along ``Q`` when ``P`` is shorter than the pool
 (:func:`repro.backends.blockpar.pq_blocks`). These tests pin that
 partition, the tiny-tensor edge where there are fewer elements than
-workers, and :mod:`repro.util.blas`: pool blocks run BLAS with one
-thread, and the process gets its prior count back once they finish.
+workers, the out-of-core procpool fan-out (one task per worker run of
+budget-bounded blocks, results bitwise equal to the per-block
+reduction), and :mod:`repro.util.blas`: pool blocks run BLAS with one
+thread, the process gets its prior count back once they finish, and
+every result reports the count its kernels ran with.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -17,17 +22,33 @@ from repro.backends import (
     ThreadedBackend,
     get_backend,
 )
-from repro.backends.blockpar import pq_blocks
+from repro.backends.blockpar import (
+    axis_index,
+    oc_block_slices,
+    pq_blocks,
+    reduce_partials,
+    split_mode,
+    worker_runs,
+)
+from repro.backends.sketch import (
+    block_partials,
+    single_pass_specs,
+    sum_partials,
+)
+from repro.obs import Tracer
 from repro.session import TuckerSession
+from repro.storage import MmapStore
+from repro.tensor.linalg import gram_pql, leading_eigvecs
 from repro.tensor.random import low_rank_tensor
+from repro.tensor.ttm import as_pql, ttm
 from repro.util import blas
 
 WORKERS = 4
 
 
-def pool_backend(name):
+def pool_backend(name, n_procs=WORKERS):
     try:
-        return get_backend(name, n_procs=WORKERS)
+        return get_backend(name, n_procs=n_procs)
     except BackendUnavailableError as exc:  # pragma: no cover - host-specific
         pytest.skip(f"{name} unavailable here: {exc}")
 
@@ -87,6 +108,147 @@ class TestPoolKernels:
         got = run_kernels(pool_backend(name), t, mode, k)
         for r, g in zip(ref, got):
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
+
+
+class TestWorkerRuns:
+    def test_runs_are_contiguous_and_cover_every_block(self):
+        slices = [slice(i, i + 1) for i in range(10)]
+        runs = worker_runs(slices, 3)
+        assert [len(run) for run in runs] == [4, 3, 3]
+        assert [sl for run in runs for sl in run] == slices
+
+    def test_fewer_blocks_than_workers_gives_one_block_per_run(self):
+        slices = [slice(0, 2), slice(2, 3)]
+        assert worker_runs(slices, 4) == [[slice(0, 2)], [slice(2, 3)]]
+
+
+@contextmanager
+def one_blas_thread():
+    """Run reference kernels with the BLAS count procpool workers use."""
+    blas.pin()
+    try:
+        yield
+    finally:
+        blas.unpin()
+
+
+class TestStoredFanOut:
+    """Out-of-core procpool kernels: at most one task per worker.
+
+    The store budget cuts the spilled tensor into many more blocks than
+    workers; each kernel must still emit at most ``n_workers``
+    ``worker:*`` spans, and its result must be bitwise equal to the
+    in-process ascending reduction of per-block partials over the same
+    blocks.
+    """
+
+    N = 3
+    DIMS = (30, 26, 22)
+
+    @pytest.fixture
+    def oc(self, tmp_path):
+        backend = pool_backend("procpool", n_procs=self.N)
+        store = MmapStore(root=str(tmp_path), max_block_bytes=24 * 1024)
+        tensor = np.random.default_rng(3).standard_normal(self.DIMS)
+        handle = backend.distribute(tensor, (), store=store)
+        backend.tracer = Tracer()
+        try:
+            yield backend, tensor, handle
+        finally:
+            backend.close()
+            store.close()
+
+    def blocks(self, backend, handle, avoid):
+        split = split_mode(handle.shape, avoid=avoid)
+        slices = backend._stored_slices(handle, split)
+        assert len(slices) > self.N  # the premise: more blocks than tasks
+        return [axis_index(len(handle.shape), split, sl) for sl in slices]
+
+    def traced(self, backend, kernel, *args):
+        """``kernel(*args)`` and the number of worker spans it emitted."""
+        mark = backend.tracer.mark()
+        value = kernel(*args)
+        spans = backend.tracer.drain(mark).spans
+        return value, sum(1 for s in spans if s.kind == "worker")
+
+    def test_ttm_and_cross_gram(self, oc):
+        backend, tensor, handle = oc
+        a = np.random.default_rng(4).standard_normal((5, self.DIMS[0]))
+        z, n_tasks = self.traced(backend, backend.ttm, handle, a, 0)
+        assert n_tasks <= self.N
+        index = self.blocks(backend, handle, avoid=0)
+        z_ref = np.empty((5,) + self.DIMS[1:])
+        with one_blas_thread():
+            for ix in index:
+                ttm(tensor[ix], a, 0, out=z_ref[ix])
+        np.testing.assert_array_equal(backend.gather(z), z_ref)
+
+        g, n_tasks = self.traced(backend, backend.cross_gram, handle, z, 0)
+        assert n_tasks <= self.N
+        with one_blas_thread():
+            g_ref = reduce_partials([
+                gram_pql(as_pql(tensor[ix], 0), as_pql(z_ref[ix], 0))
+                for ix in index
+            ])
+        np.testing.assert_array_equal(g, g_ref)
+
+    def test_leading_factor(self, oc):
+        backend, tensor, handle = oc
+        factor, n_tasks = self.traced(
+            backend, backend.leading_factor, handle, 1, 4
+        )
+        assert n_tasks <= self.N
+        with one_blas_thread():
+            g = reduce_partials([
+                gram_pql(as_pql(tensor[ix], 1))
+                for ix in self.blocks(backend, handle, avoid=1)
+            ])
+        np.testing.assert_array_equal(
+            factor, leading_eigvecs((g + g.T) * 0.5, 4)
+        )
+
+    def test_fro_norm_sq(self, oc):
+        backend, tensor, handle = oc
+        value, n_tasks = self.traced(backend, backend.fro_norm_sq, handle)
+        assert n_tasks <= self.N
+        slices = oc_block_slices(
+            (tensor.size,), 0, tensor.itemsize,
+            handle.store.per_block_bytes(self.N), self.N,
+        )
+        assert len(slices) > self.N
+        flat = tensor.reshape(-1)
+        with one_blas_thread():
+            ref = float(sum(
+                float(np.dot(flat[sl], flat[sl])) for sl in slices
+            ))
+        assert value == ref
+
+    def test_sketch(self, oc):
+        backend, tensor, handle = oc
+        specs = single_pass_specs(
+            np.random.default_rng(0), self.DIMS, (4, 4, 3), 2, np.float64
+        )
+        (sketches, norm_sq), n_tasks = self.traced(
+            backend, backend.sketch, handle, specs
+        )
+        assert n_tasks <= self.N
+        split = split_mode(self.DIMS, avoid=None)
+        with one_blas_thread():
+            ref, ref_norm = sum_partials(
+                self.DIMS,
+                specs,
+                [
+                    block_partials(
+                        self.DIMS, specs, split, sl.start, sl.stop,
+                        tensor[axis_index(3, split, sl)],
+                    )
+                    for sl in backend._stored_slices(handle, split)
+                ],
+                np.float64,
+            )
+        for got, want in zip(sketches, ref):
+            np.testing.assert_array_equal(got, want)
+        assert norm_sq == ref_norm
 
 
 class TestBlasOwner:
@@ -191,3 +353,18 @@ class TestBlasOwner:
         assert f"BLAS threads {session.backend.blas_threads}" in (
             res.selection_reason
         )
+        assert res.blas_threads == session.backend.blas_threads
+
+    @pytest.mark.parametrize("name", ["sequential", "threaded", "procpool"])
+    def test_every_result_reports_blas_threads(self, name):
+        t = low_rank_tensor((12, 10, 8), (3, 3, 2), noise=0.1, seed=0)
+        session = TuckerSession(backend=pool_backend(name, n_procs=2))
+        try:
+            res = session.run(t, (3, 3, 2), max_iters=1)
+        finally:
+            session.close()
+        assert not res.auto_selected
+        assert res.blas_threads == session.backend.blas_threads
+        if blas.get_num_threads() is not None:
+            expected = blas.get_num_threads() if name == "sequential" else 1
+            assert res.blas_threads == expected

@@ -312,6 +312,7 @@ class TestServer:
             results = [t.result(timeout=60) for t in tickets]
         for res, ref in zip(results, expected):
             assert res.ok, res.error
+            assert res.to_dict()["blas_threads"] == res.value.blas_threads
             np.testing.assert_allclose(
                 res.value.decomposition.core,
                 ref.decomposition.core,

@@ -11,6 +11,9 @@ Two guarantees the storage subsystem exists for:
 * **crash reclamation** — a procpool worker dying mid-kernel on a
   spilled handle must not leak spill files: the orphaned output block is
   deleted, the pool is rebuilt, and the next kernel succeeds.
+
+Spill blocks are scratch files, never ``msync``-ed: a guard runs spilled
+decompositions with ``np.memmap.flush`` made to raise.
 """
 
 import gc
@@ -22,7 +25,9 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 import repro.backends.procpool as procpool_mod
+from repro.backends.blockpar import split_mode
 from repro.backends.procpool import ProcessPoolBackend
+from repro.backends.sequential import SequentialBackend
 from repro.session import TuckerSession
 from repro.storage import MmapStore, resident_gauge
 from repro.tensor.random import low_rank_tensor
@@ -177,6 +182,15 @@ def _exit_hard(*args, **kwargs):  # pragma: no cover - runs in a worker
     os._exit(13)
 
 
+_GRAM_BLOCK_FILE = procpool_mod._gram_block_file
+
+
+def _gram_then_exit(tensors, mode, split, run):  # pragma: no cover - worker
+    """Finish the first block of the task's run, then die mid-run."""
+    _GRAM_BLOCK_FILE(tensors, mode, split, run[:1])
+    os._exit(13)
+
+
 @pytest_crash
 class TestProcpoolSpillCrash:
     def test_worker_death_mid_kernel_reclaims_spill_files(
@@ -215,6 +229,41 @@ class TestProcpoolSpillCrash:
         # the whole spill directory is gone with the store
         assert list(tmp_path.iterdir()) == []
 
+    def test_worker_death_mid_run_of_gram_blocks(self, tmp_path, monkeypatch):
+        """A worker dies partway through its run of Gram blocks."""
+        tensor = np.random.default_rng(3).standard_normal((24, 20, 16))
+        backend = ProcessPoolBackend(n_workers=2)
+        store = MmapStore(root=str(tmp_path), max_block_bytes=8192)
+        try:
+            handle = backend.distribute(tensor, (), store=store)
+            input_keys = set(store.keys())
+            slices = backend._stored_slices(
+                handle, split_mode(handle.shape, avoid=0)
+            )
+            # every worker's task carries a run of several blocks
+            assert len(slices) > 2 * backend.n_workers
+            gauge_before = store.gauge.current
+            monkeypatch.setattr(
+                procpool_mod, "_gram_block_file", _gram_then_exit
+            )
+            with pytest.raises(BrokenProcessPool):
+                backend.leading_factor(handle, 0, 4)
+            gc.collect()
+            assert set(store.keys()) == input_keys  # nothing orphaned
+            assert store.gauge.current == gauge_before
+            assert backend._pool is None
+            monkeypatch.undo()
+            seq = SequentialBackend()
+            np.testing.assert_allclose(
+                backend.leading_factor(handle, 0, 4),
+                seq.leading_factor(seq.distribute(tensor, (1, 1, 1)), 0, 4),
+                atol=1e-10,
+            )
+        finally:
+            backend.close()
+            store.close()
+        assert list(tmp_path.iterdir()) == []
+
     def test_session_run_crash_leaves_spill_root_clean(
         self, tmp_path, monkeypatch
     ):
@@ -244,4 +293,53 @@ class TestProcpoolSpillCrash:
             tensor, (4, 4, 3), planner="optimal", n_procs=2, max_iters=1
         )
         assert res.storage == "mmap"
+        assert list(tmp_path.iterdir()) == []
+
+
+# --------------------------------------------------------------------- #
+# no msync on scratch spill files
+# --------------------------------------------------------------------- #
+
+
+def _no_msync(self):  # pragma: no cover - only runs if a flush comes back
+    raise AssertionError("spill blocks are scratch files: no msync")
+
+
+class TestNoMsync:
+    @pytest.mark.parametrize(
+        "name, codec, atol",
+        [
+            ("sequential", "raw", 1e-10),
+            ("procpool", "raw", 1e-10),
+            # workers map a decoded scratch copy of each narrow block
+            ("procpool", "narrow", 1e-4),
+        ],
+    )
+    def test_spilled_run_never_flushes(
+        self, name, codec, atol, big_tensor, reference, tmp_path,
+        monkeypatch,
+    ):
+        # patched before the session exists, so before its pool forks
+        monkeypatch.setattr(np.memmap, "flush", _no_msync)
+        session = TuckerSession(
+            backend=name,
+            n_procs=PROCS,
+            storage="mmap",
+            memory_budget=BUDGET,
+            spill_dir=str(tmp_path),
+            spill_codec=codec,
+        )
+        try:
+            res = session.run(
+                big_tensor, CORE, planner="optimal", n_procs=PROCS,
+                max_iters=2, tol=-np.inf,
+            )
+        finally:
+            session.close()
+        assert res.storage == "mmap"
+        assert res.spill_bytes_written > 0
+        np.testing.assert_allclose(res.errors, reference.errors, atol=atol)
+        np.testing.assert_allclose(
+            res.decomposition.core, reference.decomposition.core, atol=atol
+        )
         assert list(tmp_path.iterdir()) == []
