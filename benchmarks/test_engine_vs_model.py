@@ -15,11 +15,10 @@ import numpy as np
 from repro.bench.report import ascii_table
 from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
-from repro.dist.dtensor import DistTensor
-from repro.hooi.hooi import hooi_step_distributed
 from repro.hooi.model import predict
 from repro.hooi.sthosvd import sthosvd
 from repro.mpi.comm import SimCluster
+from repro.session import TuckerSession
 from repro.tensor.random import low_rank_tensor
 
 CASES = [
@@ -36,19 +35,18 @@ def _run_case(dims, core, n_procs, grid_kind):
     t = low_rank_tensor(dims, core, noise=0.2, seed=42)
     init = sthosvd(t, core)
     plan = Planner(n_procs, tree="optimal", grid=grid_kind).plan(meta)
-    cluster = SimCluster(n_procs)
-    dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-    hooi_step_distributed(dt, init.factors, plan, tag="h")
+    session = TuckerSession(backend="simcluster", cluster=SimCluster(n_procs))
+    ledger = session.hooi(t, init, plan=plan, max_iters=1).ledger
     rep = predict(plan)
     return {
-        "engine_rs": cluster.stats.volume(op="reduce_scatter", tag_prefix="h:ttm"),
+        "engine_rs": ledger.volume(op="reduce_scatter", tag_prefix="hooi:it0:ttm"),
         "model_rs": rep.ttm.volume,
-        "engine_rg": cluster.stats.volume(op="alltoallv", tag_prefix="h:regrid"),
+        "engine_rg": ledger.volume(op="alltoallv", tag_prefix="hooi:it0:regrid"),
         "model_rg": rep.regrid.volume,
-        "engine_svd": cluster.stats.volume(tag_prefix="h:svd"),
+        "engine_svd": ledger.volume(tag_prefix="hooi:it0:svd"),
         "model_svd": rep.svd.volume,
-        "engine_core_rs": cluster.stats.volume(
-            op="reduce_scatter", tag_prefix="h:core"
+        "engine_core_rs": ledger.volume(
+            op="reduce_scatter", tag_prefix="hooi:it0:core"
         ),
         "model_core_rs": plan.core_ttm_volume,
     }

@@ -30,9 +30,8 @@ Backends: ``"sequential"`` (numpy), ``"simcluster"`` (the virtual cluster
 with exact volume accounting), ``"threaded"`` (shared-memory block
 parallelism), ``"procpool"`` (multi-core process pool over shared-memory
 segments) — or ``"auto"``, which scores the input's metadata against a
-calibratable cost model and picks per tensor. The legacy one-shot entry
-points (``tucker``, ``hooi_sequential``, ``hooi_distributed``) remain as
-deprecation shims.
+calibratable cost model and picks per tensor. Per-run settings travel as
+one :class:`~repro.session.RunOptions`.
 """
 
 import logging as _logging
@@ -77,6 +76,8 @@ from repro.session import (
     BatchItem,
     BatchResult,
     CompiledPlan,
+    RunOptions,
+    TuckerResult,
     TuckerSession,
     compile_plan,
 )
@@ -85,14 +86,10 @@ from repro.hooi import (
     sthosvd,
     dist_sthosvd,
     sthosvd_grid_plan,
-    hooi_sequential,
-    hooi_distributed,
     hooi_reference_step,
     ModelReport,
     predict,
     select_plan,
-    tucker,
-    TuckerResult,
 )
 from repro.tensor import (
     ttm,
@@ -138,19 +135,17 @@ __all__ = [
     "BatchItem",
     "BatchResult",
     "CompiledPlan",
+    "RunOptions",
     "TuckerSession",
     "compile_plan",
     "TuckerDecomposition",
     "sthosvd",
     "dist_sthosvd",
     "sthosvd_grid_plan",
-    "hooi_sequential",
-    "hooi_distributed",
     "hooi_reference_step",
     "ModelReport",
     "predict",
     "select_plan",
-    "tucker",
     "TuckerResult",
     "ttm",
     "ttm_chain",

@@ -27,6 +27,7 @@ throughput (``items_per_second``) alongside single-shot latency.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import replace
 from time import perf_counter
 
 from repro.backends import BackendUnavailableError, get_backend
@@ -34,7 +35,7 @@ from repro.bench.algorithms import make_planner
 from repro.core.meta import TensorMeta
 from repro.hooi.model import predict
 from repro.mpi.machine import MachineModel
-from repro.session import TuckerSession
+from repro.session import RunOptions, TuckerSession
 
 
 def planning_session() -> TuckerSession:
@@ -145,6 +146,10 @@ def run_backends(
     )
     if n_procs is None:
         n_procs = feasible_procs(meta, default_workers())
+    options = RunOptions(
+        planner=planner, n_procs=n_procs, max_iters=max_iters, tol=tol,
+        storage=storage, memory_budget=memory_budget, spill_codec=spill_codec,
+    )
     names = list(backends)
     if reference not in names:
         names.insert(0, reference)
@@ -156,18 +161,9 @@ def run_backends(
         except BackendUnavailableError as exc:
             out[name] = {"unavailable": str(exc)}
             continue
-        session = TuckerSession(backend=backend, spill_codec=spill_codec)
+        session = TuckerSession(backend=backend)
         start = perf_counter()
-        result = session.run(
-            tensor,
-            core_dims,
-            planner=planner,
-            n_procs=n_procs,
-            max_iters=max_iters,
-            tol=tol,
-            storage=storage,
-            memory_budget=memory_budget,
-        )
+        result = session.run(tensor, core_dims, options=options)
         seconds = perf_counter() - start
         stats = backend.stats()
         cores[name] = result.decomposition.core
@@ -237,27 +233,16 @@ def run_methods(
         names.insert(0, reference)
     out: dict[str, dict[str, float]] = {}
     t_norm = float(np.linalg.norm(arr.reshape(-1)))
+    options = RunOptions(
+        planner=planner, n_procs=n_procs, skip_hooi=True,
+        oversample=oversample, power_iters=power_iters, seed=seed,
+    )
     with TuckerSession(backend=backend, n_procs=n_procs) as session:
         session.compile(meta, n_procs, planner=planner)
         for name in names:
-            extra = (
-                {}
-                if name == "exact"
-                else {
-                    "method": name,
-                    "oversample": oversample,
-                    "power_iters": power_iters,
-                    "seed": seed,
-                }
-            )
             start = perf_counter()
             result = session.run(
-                arr,
-                core_dims,
-                planner=planner,
-                n_procs=n_procs,
-                skip_hooi=True,
-                **extra,
+                arr, core_dims, options=replace(options, method=name)
             )
             seconds = perf_counter() - start
             dec = result.decomposition
@@ -330,6 +315,10 @@ def run_batch(
     }
     if n_procs is None:
         n_procs = min(feasible_procs(m, default_workers()) for m in metas)
+    options = RunOptions(
+        planner=planner, n_procs=n_procs, max_iters=max_iters, tol=tol,
+        storage=storage, memory_budget=memory_budget, spill_codec=spill_codec,
+    )
     names = list(backends)
     if reference not in names:
         names.insert(0, reference)
@@ -341,19 +330,10 @@ def run_batch(
         except BackendUnavailableError as exc:
             out[name] = {"unavailable": str(exc)}
             continue
-        with TuckerSession(
-            backend=backend, spill_codec=spill_codec
-        ) as session:
+        with TuckerSession(backend=backend) as session:
             batch = session.run_many(
-                arrays,
-                core_dims,
-                planner=planner,
-                n_procs=n_procs,
-                max_iters=max_iters,
-                tol=tol,
+                arrays, core_dims, options=options,
                 max_in_flight=max_in_flight,
-                storage=storage,
-                memory_budget=memory_budget,
             )
         cores[name] = [r.decomposition.core for r in batch.results]
         out[name] = {
@@ -414,17 +394,13 @@ def run_serve(
     if not arrays:
         raise ValueError("run_serve needs at least one tensor")
     out: dict[str, dict[str, float]] = {}
+    options = RunOptions(
+        planner=planner, n_procs=n_procs, max_iters=max_iters, tol=tol,
+        memory_budget=memory_budget,
+    )
 
     with TuckerSession(backend=backend, n_procs=n_procs) as session:
-        batch = session.run_many(
-            arrays,
-            core_dims,
-            planner=planner,
-            n_procs=n_procs,
-            max_iters=max_iters,
-            tol=tol,
-            memory_budget=memory_budget,
-        )
+        batch = session.run_many(arrays, core_dims, options=options)
     serial_cores = [r.decomposition.core for r in batch.results]
     out["serial"] = {
         "seconds": batch.seconds,
@@ -434,11 +410,7 @@ def run_serve(
 
     start = perf_counter()
     with TuckerServer(
-        workers=workers,
-        backend=backend,
-        n_procs=n_procs,
-        planner=planner,
-        memory_budget=memory_budget,
+        workers=workers, backend=backend, n_procs=n_procs, options=options,
     ) as server:
         tickets = [
             server.submit(ServeRequest(

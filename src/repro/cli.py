@@ -30,6 +30,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -47,7 +48,7 @@ from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
 from repro.hooi.model import predict
 from repro.mpi.machine import MachineModel
-from repro.session import TuckerSession
+from repro.session import RunOptions, TuckerSession
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -92,6 +93,21 @@ def _add_storage_args(p) -> None:
         "'zlib:LEVEL' (lossless), or 'narrow' (lossy float64->float32 "
         "with the realized error bound reported per run)",
     )
+
+
+def _run_options(args, **extra) -> RunOptions:
+    """The per-run settings a command line carries, validated once.
+
+    Every :class:`RunOptions` field the command defines a flag for is
+    taken from ``args`` (the rest keep their defaults); ``extra`` sets
+    fields whose flag has another name (``-p`` is ``n_procs``).
+    """
+    given = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunOptions)
+        if hasattr(args, f.name)
+    }
+    return RunOptions(**given, **extra)
 
 
 def _meta_from_args(args) -> TensorMeta:
@@ -147,29 +163,14 @@ def cmd_decompose(args) -> int:
     if calibration is not None and args.backend != AUTO_BACKEND:
         raise SystemExit("--calibration requires --backend auto")
     try:
+        options = _run_options(args, n_procs=args.procs)
         session = TuckerSession(
             backend=args.backend, n_procs=args.procs, calibration=calibration,
-            spill_codec=args.spill_codec, trace=bool(args.trace),
+            trace=bool(args.trace),
         )
     except ValueError as exc:  # bad profile path, bad codec, bad backend ...
         raise SystemExit(str(exc)) from None
-    result = session.run(
-        tensor,
-        args.core,
-        planner=args.planner,
-        n_procs=args.procs,
-        dtype=args.dtype,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        skip_hooi=args.skip_hooi,
-        method=args.method,
-        oversample=args.oversample,
-        power_iters=args.power_iters,
-        seed=args.seed,
-        storage=args.storage,
-        memory_budget=args.memory_budget,
-        spill_dir=args.spill_dir,
-    )
+    result = session.run(tensor, args.core, options=options)
     stats = result.stats  # scoped to this run, even on a reused backend
     plan = result.plan
     if args.trace:
@@ -289,9 +290,10 @@ def cmd_batch(args) -> int:
     if calibration is not None and args.backend != AUTO_BACKEND:
         raise SystemExit("--calibration requires --backend auto")
     try:
+        options = _run_options(args, n_procs=args.procs)
         session = TuckerSession(
             backend=args.backend, n_procs=args.procs, calibration=calibration,
-            spill_codec=args.spill_codec, trace=bool(args.trace),
+            trace=bool(args.trace),
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
@@ -299,17 +301,9 @@ def cmd_batch(args) -> int:
         batch = session.run_many(
             paths,
             args.core,
-            planner=args.planner,
-            n_procs=args.procs,
-            dtype=args.dtype,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            skip_hooi=args.skip_hooi,
+            options=options,
             max_in_flight=args.max_in_flight,
             on_error=args.on_error,
-            storage=args.storage,
-            memory_budget=args.memory_budget,
-            spill_dir=args.spill_dir,
         )
     except (ValueError, OSError) as exc:  # bad item with --on-error raise
         raise SystemExit(str(exc)) from None
@@ -397,12 +391,8 @@ def cmd_serve(args) -> int:
             workers=args.workers,
             backend=args.backend,
             n_procs=args.procs,
-            planner=args.planner,
-            memory_budget=args.memory_budget,
+            options=_run_options(args),
             max_queue=args.max_queue,
-            storage=args.storage,
-            spill_dir=args.spill_dir,
-            spill_codec=args.spill_codec,
             prefetch=not args.no_prefetch,
             deadline=args.deadline,
             trace=bool(args.trace),

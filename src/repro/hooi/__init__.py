@@ -1,35 +1,22 @@
-"""HOOI, STHOSVD and the model executor.
+"""HOOI, STHOSVD and the performance model.
 
 * :mod:`repro.hooi.decomposition` — the ``{G; F_1..F_N}`` container, error
   metrics (explicit and the orthonormal-factor norm identity).
 * :mod:`repro.hooi.sthosvd` — sequentially truncated HOSVD, the paper's
   initial-decomposition method, in sequential and distributed forms.
-* :mod:`repro.hooi.executor` — executes a planner :class:`~repro.core.Plan`
-  (TTM-tree + grid scheme): sequential reference and distributed engine.
-* :mod:`repro.hooi.hooi` — the HOOI driver (Figure 2 of the paper): single
-  invocations and iterate-to-convergence, plus a tree-free naive reference.
+* :mod:`repro.hooi.hooi` — the tree-free HOOI reference step (Figure 2 of
+  the paper), the test oracle for the session's tree execution.
 * :mod:`repro.hooi.model` — metadata-only predictions of load, volume and
   alpha-beta time for a plan; powers the large benchmark sweeps.
+
+Decompositions themselves run through :class:`repro.session.TuckerSession`.
 """
 
 from repro.hooi.decomposition import TuckerDecomposition
 from repro.hooi.sthosvd import sthosvd, dist_sthosvd, sthosvd_grid_plan
-from repro.hooi.executor import (
-    execute_tree_sequential,
-    execute_tree_distributed,
-    compute_core_sequential,
-    compute_core_distributed,
-)
-from repro.hooi.hooi import (
-    hooi_step_sequential,
-    hooi_step_distributed,
-    hooi_sequential,
-    hooi_distributed,
-    hooi_reference_step,
-)
+from repro.hooi.hooi import hooi_reference_step
 from repro.hooi.model import ModelReport, predict
 from repro.hooi.portfolio import PortfolioChoice, select_plan
-from repro.hooi.api import TuckerResult, tucker
 
 __all__ = [
     "TuckerDecomposition",
@@ -38,16 +25,6 @@ __all__ = [
     "sthosvd_grid_plan",
     "PortfolioChoice",
     "select_plan",
-    "TuckerResult",
-    "tucker",
-    "execute_tree_sequential",
-    "execute_tree_distributed",
-    "compute_core_sequential",
-    "compute_core_distributed",
-    "hooi_step_sequential",
-    "hooi_step_distributed",
-    "hooi_sequential",
-    "hooi_distributed",
     "hooi_reference_step",
     "ModelReport",
     "predict",

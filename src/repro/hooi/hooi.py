@@ -1,204 +1,31 @@
-"""HOOI drivers (paper Figure 2).
+"""The tree-free HOOI reference (paper Figure 2, without TTM-trees).
 
 A single invocation maps ``{G; F_1..F_N} -> {G~; F~_1..F~_N}``:
 
-1. for every mode ``n``, a TTM chain over all modes but ``n`` (realized via
-   the plan's TTM-tree so chains share work) followed by the Gram-SVD of the
-   mode-n unfolding — note all chains consume the *input* factors, exactly
-   as Figure 2 specifies (tree reuse requires it);
+1. for every mode ``n``, a TTM chain over all modes but ``n`` followed by
+   the SVD of the mode-n unfolding — all chains consume the *input*
+   factors, exactly as Figure 2 specifies (tree reuse requires it);
 2. the new core ``G~ = T x_1 F~_1^T ... x_N F~_N^T``.
 
-``hooi_step_sequential`` / ``hooi_step_distributed`` remain the
-single-invocation engine entry points. The iterate-to-convergence drivers
-``hooi_sequential`` / ``hooi_distributed`` are **deprecated shims** over
-:class:`repro.session.TuckerSession` (which runs the same compiled
-schedules on any backend); they keep their historical signatures and
-results. ``hooi_reference_step`` is the tree-free naive implementation
-(N independent chains) used as the test oracle; it also offers the classic
-Gauss-Seidel update (immediately reusing freshly computed factors), which
-trees cannot express — comparing the two is one of the repo's extension
-experiments.
+The production path is :meth:`repro.session.TuckerSession.hooi`, which
+runs the plan's TTM-tree as compiled schedules on any backend.
+``hooi_reference_step`` is the naive implementation (N independent
+chains) used as the test oracle; it also offers the classic Gauss-Seidel
+update (immediately reusing freshly computed factors), which trees cannot
+express — comparing the two is one of the repo's extension experiments.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.planner import Plan
-from repro.dist.dtensor import DistTensor
 from repro.hooi.decomposition import TuckerDecomposition
-from repro.hooi.executor import (
-    compute_core_distributed,
-    compute_core_sequential,
-    execute_tree_distributed,
-    execute_tree_sequential,
-)
-from repro.mpi.comm import SimCluster
 from repro.tensor.linalg import leading_left_singular_vectors
 from repro.tensor.ttm import ttm_chain
 from repro.tensor.unfold import unfold
 from repro.util.dtypes import as_float
-
-
-@dataclass
-class HooiResult:
-    """Outcome of an iterated HOOI run."""
-
-    decomposition: TuckerDecomposition
-    errors: list[float] = field(default_factory=list)
-    iterations: int = 0
-
-    @property
-    def final_error(self) -> float:
-        return self.errors[-1] if self.errors else float("nan")
-
-
-# --------------------------------------------------------------------- #
-# single invocations (engine-level, not deprecated)
-# --------------------------------------------------------------------- #
-
-
-def hooi_step_sequential(
-    tensor: np.ndarray,
-    factors: Sequence[np.ndarray],
-    plan: Plan,
-) -> TuckerDecomposition:
-    """One HOOI invocation (Figure 2), sequentially, per ``plan``'s tree."""
-    new_factors = execute_tree_sequential(
-        tensor, factors, plan.tree, plan.meta
-    )
-    ordered = [new_factors[m] for m in range(plan.meta.ndim)]
-    core = compute_core_sequential(tensor, ordered, plan.meta)
-    return TuckerDecomposition(core=core, factors=ordered)
-
-
-def hooi_step_distributed(
-    dtensor: DistTensor,
-    factors: Sequence[np.ndarray],
-    plan: Plan,
-    *,
-    tag: str = "hooi",
-) -> tuple[TuckerDecomposition, DistTensor]:
-    """One HOOI invocation on the engine.
-
-    Returns the new decomposition (with the core assembled — it is small)
-    plus the distributed core. ``dtensor`` must live on
-    ``plan.initial_grid``.
-    """
-    new_factors = execute_tree_distributed(dtensor, factors, plan, tag=tag)
-    ordered = [new_factors[m] for m in range(plan.meta.ndim)]
-    core_dist = compute_core_distributed(
-        dtensor,
-        ordered,
-        plan.meta,
-        core_order=plan.core_order or None,
-        core_scheme=plan.core_scheme or None,
-        tag=f"{tag}:core",
-    )
-    dec = TuckerDecomposition(core=core_dist.to_global(), factors=ordered)
-    return dec, core_dist
-
-
-# --------------------------------------------------------------------- #
-# iterated drivers (deprecated shims over the session layer)
-# --------------------------------------------------------------------- #
-
-
-def _as_hooi_result(res) -> HooiResult:
-    return HooiResult(
-        decomposition=res.decomposition,
-        errors=list(res.errors),
-        iterations=res.n_iters,
-    )
-
-
-def hooi_sequential(
-    tensor: np.ndarray,
-    init: TuckerDecomposition,
-    *,
-    plan: Plan | None = None,
-    n_procs: int = 1,
-    max_iters: int = 10,
-    tol: float = 1e-8,
-) -> HooiResult:
-    """Iterate HOOI until the error improvement drops below ``tol``.
-
-    .. deprecated::
-        Use ``TuckerSession(backend="sequential").hooi(...)`` instead.
-
-    ``tol`` compares successive normalized errors; ``max_iters`` bounds the
-    sweep count. The returned ``errors`` list has one entry per completed
-    invocation (via the norm identity — free even for big tensors).
-    """
-    warnings.warn(
-        "hooi_sequential() is deprecated; use "
-        "repro.session.TuckerSession(backend='sequential').hooi(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.session import TuckerSession
-
-    session = TuckerSession(backend="sequential")
-    return _as_hooi_result(
-        session.hooi(
-            tensor,
-            init,
-            plan=plan,
-            n_procs=n_procs,
-            max_iters=max_iters,
-            tol=tol,
-        )
-    )
-
-
-def hooi_distributed(
-    cluster: SimCluster,
-    tensor: np.ndarray,
-    init: TuckerDecomposition,
-    *,
-    plan: Plan | None = None,
-    max_iters: int = 10,
-    tol: float = 1e-8,
-) -> HooiResult:
-    """Iterated HOOI on the virtual cluster.
-
-    .. deprecated::
-        Use ``TuckerSession(backend="simcluster", cluster=...).hooi(...)``.
-
-    ``tensor`` is distributed onto the plan's initial grid up front (the
-    paper does not charge initial distribution). Per-iteration errors come
-    from the norm identity using distributed norms, so no rank ever holds
-    the full tensor during iteration.
-    """
-    warnings.warn(
-        "hooi_distributed() is deprecated; use "
-        "repro.session.TuckerSession(backend='simcluster', cluster=...)"
-        ".hooi(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.session import TuckerSession
-
-    session = TuckerSession(backend="simcluster", cluster=cluster)
-    return _as_hooi_result(
-        session.hooi(
-            tensor,
-            init,
-            plan=plan,
-            n_procs=cluster.n_procs,
-            max_iters=max_iters,
-            tol=tol,
-        )
-    )
-
-
-# --------------------------------------------------------------------- #
-# naive reference (test oracle + Gauss-Seidel extension)
-# --------------------------------------------------------------------- #
 
 
 def hooi_reference_step(

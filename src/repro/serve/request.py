@@ -17,11 +17,13 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
+from repro.backends.schedule import RAND_METHODS
+from repro.session import RunOptions
 from repro.util.validation import check_core_dims, check_dims, check_positive_int
 
 __all__ = [
@@ -57,7 +59,10 @@ class ServeRequest:
     Exactly one of ``array`` / ``path`` / ``dims`` (random spec) names
     the input. ``deadline`` is seconds from submission; a request still
     queued (or still waiting on admission) when it elapses fails with
-    :class:`DeadlineExceeded` instead of running.
+    :class:`DeadlineExceeded` instead of running. The decomposition
+    settings (``method``, ``dtype``, ``max_iters``, ``tol``, ``seed``)
+    are validated as a :class:`~repro.session.RunOptions` on
+    construction, before any tensor bytes are touched.
     """
 
     core: tuple[int, ...]
@@ -89,9 +94,28 @@ class ServeRequest:
         if self.dims is not None:
             self.dims = check_dims(self.dims)
         self.core = tuple(int(k) for k in self.core)
+        self.run_options()
         self.max_iters = check_positive_int(self.max_iters, "max_iters")
         if self.deadline is not None and float(self.deadline) <= 0:
             raise ValueError("deadline must be positive seconds")
+
+    def run_options(self, base: RunOptions = RunOptions()) -> RunOptions:
+        """This request's settings over ``base`` (its server's options).
+
+        ``"run"`` iterates HOOI; ``"sthosvd"`` and the randomized methods
+        are initialization-only. The request seed doubles as the sketch
+        seed, so a replayed request reproduces its decomposition bit for
+        bit — not just its input.
+        """
+        return replace(
+            base,
+            dtype=self.dtype,
+            max_iters=self.max_iters,
+            tol=self.tol,
+            skip_hooi=self.method != "run",
+            method=self.method if self.method in RAND_METHODS else "exact",
+            seed=self.seed,
+        )
 
     def materialize(self) -> np.ndarray:
         """The input tensor: resident array, lazy ``.npy`` map, or RNG."""

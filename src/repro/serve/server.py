@@ -22,7 +22,7 @@ from repro.serve.request import ServeRequest, Ticket, parse_request, plan_key
 from repro.serve.router import AffinityRouter
 from repro.serve.stats import ServerStats
 from repro.serve.worker import ServeWorker
-from repro.session import TuckerSession
+from repro.session import RunOptions, TuckerSession
 from repro.util.validation import check_positive_int
 
 __all__ = ["TuckerServer"]
@@ -39,15 +39,21 @@ class TuckerServer:
     ----------
     workers: number of worker threads, each owning a full
         :class:`~repro.session.TuckerSession` (backend pools included).
-    backend / n_procs / planner / storage / spill_dir / spill_codec /
-        trace: forwarded
-        to every worker session — ``n_procs`` is *per worker*; size it so
-        ``workers x n_procs`` fits the machine.
-    memory_budget: global working-set budget across all workers. Each
-        request charges ``min(its bytes, budget)`` while it executes;
-        requests that don't fit wait their turn (or their deadline). The
-        same budget reaches the worker sessions, so an individually
-        oversized tensor runs spilled with bounded resident bytes.
+    backend / n_procs / trace: forwarded to every worker session —
+        ``n_procs`` is *per worker*; size it so ``workers x n_procs``
+        fits the machine.
+    options: the per-run settings every request runs with: the server
+        applies its ``planner`` and storage settings (``storage``,
+        ``memory_budget``, ``spill_dir``, ``spill_codec``); each request
+        brings its own ``dtype`` / ``max_iters`` / ``tol`` / ``method`` /
+        ``seed``. The five keywords of the same names override
+        ``options`` (``None`` keeps it).
+    memory_budget: also the global working-set budget across all
+        workers. Each request charges ``min(its bytes, budget)`` while it
+        executes; requests that don't fit wait their turn (or their
+        deadline). The same budget bounds each run's spill store, so an
+        individually oversized tensor runs spilled with bounded resident
+        bytes.
     max_queue: bound on queued-plus-running requests; past it ``submit``
         sheds with :class:`AdmissionError` (``reason="queue_full"``).
     prefetch: double-buffer file-backed inputs on every worker.
@@ -61,12 +67,13 @@ class TuckerServer:
         workers: int = 2,
         backend: str = "auto",
         n_procs: int | None = None,
-        planner: str = "portfolio",
+        options: RunOptions | None = None,
+        planner: str | None = None,
         memory_budget: int | str | None = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        storage: str = "auto",
+        storage: str | None = None,
         spill_dir: str | None = None,
-        spill_codec: str = "auto",
+        spill_codec: str | None = None,
         prefetch: bool = True,
         deadline: float | None = None,
         trace: bool = False,
@@ -74,12 +81,24 @@ class TuckerServer:
     ) -> None:
         workers = check_positive_int(workers, "workers")
         self.max_queue = check_positive_int(max_queue, "max_queue")
-        self.planner = planner
+        base = options if options is not None else RunOptions()
+        given = {
+            "planner": planner,
+            "storage": storage,
+            "memory_budget": memory_budget,
+            "spill_dir": spill_dir,
+            "spill_codec": spill_codec,
+        }
+        #: the server's per-run settings (validated once, here)
+        self.options = RunOptions(**{
+            k: v if v is not None else getattr(base, k)
+            for k, v in given.items()
+        })
         if deadline is not None and float(deadline) <= 0:
             raise ValueError("deadline must be positive seconds")
         self.default_deadline = deadline
         self.stats = ServerStats(metrics)
-        self.admission = AdmissionController(memory_budget)
+        self.admission = AdmissionController(self.options.memory_budget)
         self.router = AffinityRouter(workers)
         self._lock = threading.Lock()
         self._pending = 0
@@ -90,14 +109,9 @@ class TuckerServer:
             ServeWorker(
                 i,
                 session=TuckerSession(
-                    backend=backend,
-                    n_procs=n_procs,
-                    storage=storage,
-                    memory_budget=memory_budget,
-                    spill_dir=spill_dir,
-                    spill_codec=spill_codec,
-                    trace=trace,
+                    backend=backend, n_procs=n_procs, trace=trace
                 ),
+                options=self.options,
                 admission=self.admission,
                 stats=self.stats,
                 on_finished=self._finished,

@@ -25,7 +25,7 @@ import numpy as np
 from repro.serve.admission import AdmissionController, AdmissionError
 from repro.serve.request import RequestResult, ServeRequest, Ticket
 from repro.serve.stats import ServerStats
-from repro.session import Prefetcher, TuckerSession
+from repro.session import Prefetcher, RunOptions, TuckerSession
 
 __all__ = ["ServeWorker"]
 
@@ -47,13 +47,18 @@ def _failure(
 
 
 class ServeWorker:
-    """A daemon thread draining one inbox through one private session."""
+    """A daemon thread draining one inbox through one private session.
+
+    ``options`` are the server's per-run settings; each request's own
+    settings replace its fields (:meth:`ServeRequest.run_options`).
+    """
 
     def __init__(
         self,
         index: int,
         *,
         session: TuckerSession,
+        options: RunOptions,
         admission: AdmissionController,
         stats: ServerStats,
         on_finished,
@@ -61,6 +66,7 @@ class ServeWorker:
     ) -> None:
         self.index = index
         self.session = session
+        self.options = options
         self.admission = admission
         self.stats = stats
         self._on_finished = on_finished
@@ -68,11 +74,11 @@ class ServeWorker:
         self.inflight = 0
         #: per-run traces, collected when the session traces (CLI --trace)
         self.traces: list = []
-        # Warm chunks match the session's budget-bounded store geometry,
-        # so prefetch never leases a larger chunk than a spill would.
+        # Warm chunks match the runs' budget-bounded store geometry, so
+        # prefetch never leases a larger chunk than a spill would.
         self.prefetcher = (
             Prefetcher(
-                chunk_bytes=session.prefetch_chunk_bytes(),
+                chunk_bytes=session.prefetch_chunk_bytes(options),
                 max_bytes=admission.budget,
             )
             if prefetch
@@ -126,31 +132,11 @@ class ServeWorker:
             arr = req.materialize()
             charge = self.admission.acquire(req.nbytes(), timeout=remaining)
             self._prefetch_next()
+            opts = req.run_options(self.options)
             if req.method == "sthosvd":
-                result = self.session.sthosvd(
-                    arr, req.core, dtype=req.dtype
-                )
-            elif req.method in ("rsthosvd", "sp-rsthosvd"):
-                # Init-only, like "sthosvd" — these exist for raw speed.
-                # The request seed doubles as the sketch seed, so a
-                # replayed request reproduces its decomposition bit for
-                # bit — not just its input.
-                result = self.session.run(
-                    arr,
-                    req.core,
-                    dtype=req.dtype,
-                    skip_hooi=True,
-                    method=req.method,
-                    seed=req.seed,
-                )
+                result = self.session.sthosvd(arr, req.core, options=opts)
             else:
-                result = self.session.run(
-                    arr,
-                    req.core,
-                    dtype=req.dtype,
-                    max_iters=req.max_iters,
-                    tol=req.tol,
-                )
+                result = self.session.run(arr, req.core, options=opts)
         except AdmissionError as exc:
             if exc.reason == "budget_timeout" and remaining is not None:
                 self.stats.deadline_missed()

@@ -22,8 +22,11 @@ Quickstart::
     res2 = session.run(other_tensor, (8, 6, 5)) # plan-cache hit
     print(res.error, res2.from_cache, session.backend.stats())
 
-The legacy entry points (``tucker``, ``hooi_sequential``,
-``hooi_distributed``) remain as thin deprecation shims over this layer.
+Per-run settings travel as one frozen :class:`RunOptions`: the session
+holds a base one, and keyword arguments to ``run`` / ``sthosvd`` /
+``hooi`` / ``run_many`` override it::
+
+    res3 = session.run(tensor, (8, 6, 5), method="rsthosvd", seed=1)
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import threading
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from typing import Any
 
 import numpy as np
 
@@ -90,6 +94,7 @@ __all__ = [
     "BatchItem",
     "BatchResult",
     "CompiledPlan",
+    "RunOptions",
     "TuckerSession",
     "TuckerResult",
     "compile_plan",
@@ -528,6 +533,90 @@ def compile_plan(
 
 
 # --------------------------------------------------------------------- #
+# per-run settings
+# --------------------------------------------------------------------- #
+
+#: settings whose ``None`` per-call override means "the session's
+#: default", not a value of its own
+_SESSION_DEFAULTED = frozenset(
+    {"storage", "memory_budget", "spill_dir", "spill_codec"}
+)
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The per-run settings of one decomposition, validated once.
+
+    A session's constructor storage settings are its base
+    :attr:`TuckerSession.options`; the keyword arguments of
+    :meth:`TuckerSession.run` / ``sthosvd`` / ``hooi`` / ``run_many``
+    override it through :func:`dataclasses.replace`, so an invalid value
+    is rejected here, before any tensor bytes are touched.
+
+    * Planning: ``planner`` (``"portfolio"``, a tree kind planned with
+      dynamic grids, or a ready :class:`~repro.core.planner.Planner`),
+      ``n_procs`` (``None``: the backend's natural count) and ``dtype``
+      (``None``: float32 inputs stay float32, the rest run float64).
+    * Algorithm: ``max_iters`` / ``tol`` bound the HOOI sweeps (``0``
+      sweeps returns the initialization), ``skip_hooi`` stops after the
+      initialization, ``method`` picks it (``"exact"``, ``"rsthosvd"``
+      or ``"sp-rsthosvd"``) and ``oversample`` / ``power_iters`` /
+      ``seed`` steer the randomized ones.
+    * Storage: ``storage`` / ``memory_budget`` / ``spill_dir`` /
+      ``spill_codec``, as documented on :class:`TuckerSession`.
+    """
+
+    planner: str | Planner = "portfolio"
+    n_procs: int | None = None
+    dtype: np.dtype | None = None
+    max_iters: int = 10
+    tol: float = 1e-8
+    skip_hooi: bool = False
+    method: str = "exact"
+    oversample: int = 5
+    power_iters: int = 0
+    seed: int = 0
+    storage: str = "auto"
+    memory_budget: int | None = None
+    spill_dir: str | None = None
+    spill_codec: str = "auto"
+
+    def __post_init__(self) -> None:
+        normalized: dict = {}
+        if self.n_procs is not None:
+            normalized["n_procs"] = check_positive_int(self.n_procs, "n_procs")
+        if self.dtype is not None:
+            normalized["dtype"] = resolve_dtype(np.float64, self.dtype)
+        max_iters = int(self.max_iters)
+        if max_iters != self.max_iters or max_iters < 0:
+            raise ValueError(
+                f"max_iters must be an integer >= 0, got {self.max_iters!r}"
+            )
+        normalized["max_iters"] = max_iters
+        if self.method != "exact" and self.method not in RAND_METHODS:
+            raise ValueError(
+                f"method must be 'exact' or one of {RAND_METHODS}, "
+                f"got {self.method!r}"
+            )
+        if self.storage not in STORAGE_MODES:
+            raise ValueError(
+                f"storage must be one of {STORAGE_MODES}, got {self.storage!r}"
+            )
+        if self.memory_budget is not None:
+            normalized["memory_budget"] = parse_bytes(self.memory_budget)
+        if self.spill_codec != "auto":  # "auto" defers to the selector
+            normalized["spill_codec"] = check_codec(self.spill_codec)
+        for name, value in normalized.items():
+            object.__setattr__(self, name, value)
+
+
+#: the settings each entry point reads
+_RUN_KEYS = frozenset(f.name for f in fields(RunOptions))
+_STHOSVD_KEYS = _SESSION_DEFAULTED | {"planner", "n_procs", "dtype"}
+_HOOI_KEYS = _STHOSVD_KEYS | {"max_iters", "tol"}
+
+
+# --------------------------------------------------------------------- #
 # the session
 # --------------------------------------------------------------------- #
 
@@ -586,6 +675,9 @@ class TuckerSession:
         timelines across sessions). Default off: execution still times
         runs through a root span (``result.seconds``) but records
         nothing else — kernels see only the no-op tracer.
+
+    The four storage settings form the session's base
+    :class:`RunOptions` (:attr:`options`); every run starts from it.
     """
 
     def __init__(
@@ -603,6 +695,14 @@ class TuckerSession:
         spill_codec: str = "auto",
         trace: bool | Tracer = False,
     ) -> None:
+        #: the base per-run settings; per-call keyword arguments override
+        #: them (validated before any backend or pool is built)
+        self.options = RunOptions(
+            storage=storage,
+            memory_budget=memory_budget,
+            spill_dir=spill_dir,
+            spill_codec=spill_codec,
+        )
         self._auto = isinstance(backend, str) and backend == AUTO_BACKEND
         self._selection: Selection | None = None
         if self._auto:
@@ -648,20 +748,6 @@ class TuckerSession:
         # *correct*, just serialized.
         self._cache_lock = threading.RLock()
         self._run_lock = threading.RLock()
-        if storage not in STORAGE_MODES:
-            raise ValueError(
-                f"storage must be one of {STORAGE_MODES}, got {storage!r}"
-            )
-        self._storage = storage
-        # Fail fast on a bad budget string; keep bytes (or None).
-        self._memory_budget = (
-            parse_bytes(memory_budget) if memory_budget is not None else None
-        )
-        self._spill_dir = spill_dir
-        # Fail fast on a bad codec name; "auto" defers to the selector.
-        self._spill_codec = (
-            spill_codec if spill_codec == "auto" else check_codec(spill_codec)
-        )
         # The session always owns a real tracer: the per-run root span
         # is what result.seconds reads even with tracing off (one span
         # per run, drained immediately — no accumulation). Inner
@@ -677,13 +763,38 @@ class TuckerSession:
         #: "skip"`` batches fold these into the batch trace).
         self.last_error_trace: Trace | None = None
 
+    def _options(
+        self,
+        options: RunOptions | None,
+        overrides: dict,
+        allowed: frozenset,
+        defaults: dict | None = None,
+    ) -> RunOptions:
+        """``options`` (else the session base + ``defaults``) with overrides.
+
+        ``allowed`` is the set of settings the calling entry point reads;
+        anything else is a ``TypeError``, exactly like an unknown keyword.
+        """
+        unknown = overrides.keys() - allowed
+        if unknown:
+            raise TypeError(
+                f"unexpected keyword argument(s): {', '.join(sorted(unknown))}"
+            )
+        if options is None:
+            options = self.options
+            if defaults:
+                overrides = {**defaults, **overrides}
+        changes = {
+            k: v
+            for k, v in overrides.items()
+            if v is not None or k not in _SESSION_DEFAULTED
+        }
+        return replace(options, **changes) if changes else options
+
     # -- storage policy ---------------------------------------------------- #
 
-    def _select_storage(
-        self, nbytes: int, storage: str | None, memory_budget,
-        spill_codec: str | None = None,
-    ) -> StorageSelection:
-        """Resolve per-run knobs over the session defaults.
+    def _select_storage(self, nbytes: int, opts: RunOptions) -> StorageSelection:
+        """Where a run of ``nbytes`` working bytes lives under ``opts``.
 
         Auto sessions hand the selector their calibration profile, which
         is what lets ``codec="auto"`` rank zlib against raw with measured
@@ -691,18 +802,14 @@ class TuckerSession:
         """
         return select_storage(
             nbytes,
-            storage if storage is not None else self._storage,
-            memory_budget
-            if memory_budget is not None
-            else self._memory_budget,
-            codec=(
-                spill_codec if spill_codec is not None else self._spill_codec
-            ),
+            opts.storage,
+            opts.memory_budget,
+            codec=opts.spill_codec,
             profile=getattr(self, "_profile", None),
         )
 
     def _open_store(
-        self, selection: StorageSelection, spill_dir: str | None
+        self, selection: StorageSelection, opts: RunOptions
     ) -> MmapStore | None:
         """A run-scoped spill store, or ``None`` for in-memory runs.
 
@@ -730,7 +837,7 @@ class TuckerSession:
             else DEFAULT_CHUNK_BYTES
         )
         return MmapStore(
-            root=spill_dir if spill_dir is not None else self._spill_dir,
+            root=opts.spill_dir,
             max_block_bytes=max_block,
             chunk_bytes=(
                 min(chunk, max_block) if max_block is not None else chunk
@@ -738,58 +845,43 @@ class TuckerSession:
             codec=selection.codec,
         )
 
-    def prefetch_chunk_bytes(
-        self, memory_budget: int | str | None = None
-    ) -> int:
+    def prefetch_chunk_bytes(self, options: RunOptions | None = None) -> int:
         """The page-warm chunk size matching this session's store geometry.
 
         Prefetch leases its warm chunks through the resident gauge, so it
         must never lease a bigger chunk than the budget-bounded store
         itself would write: mirror :meth:`_open_store`'s arithmetic
         (budget over the lease factor, floored at one page, capped at
-        the default chunk). Unbudgeted sessions keep the default.
+        the default chunk). ``options`` defaults to :attr:`options`;
+        unbudgeted runs keep the default.
         """
-        budget = (
-            parse_bytes(memory_budget)
-            if memory_budget is not None
-            else self._memory_budget
-        )
-        if budget is None:
+        opts = options if options is not None else self.options
+        if opts.memory_budget is None:
             return DEFAULT_CHUNK_BYTES
-        return min(DEFAULT_CHUNK_BYTES, max(4096, budget // OC_LEASE_FACTOR))
+        return min(
+            DEFAULT_CHUNK_BYTES, max(4096, opts.memory_budget // OC_LEASE_FACTOR)
+        )
 
     # -- adaptive backend selection --------------------------------------- #
 
     def _auto_select(
-        self,
-        meta: TensorMeta,
-        n_procs: int | None,
-        dtype,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_codec: str | None = None,
+        self, meta: TensorMeta, n_procs: int | None, dtype, opts: RunOptions
     ) -> None:
         """Pick and install the backend for this input (auto mode only).
 
         Backend instances are cached per name so their ledgers persist
         across runs; ``self.backend`` always points at the last selection.
-        ``storage``/``memory_budget`` are the per-run overrides: whether
-        this input will spill changes the scores (spill I/O charged,
-        staging copies dropped), so the selector is told up front.
+        Whether this input will spill under ``opts`` changes the scores
+        (spill I/O charged, staging copies dropped), so the selector is
+        told up front.
         """
         if not self._auto:
             return
         from repro.backends.select import resolve_auto_procs
 
-        work_dtype = (
-            resolve_dtype(np.float64, dtype)
-            if dtype is not None
-            else np.dtype(np.float64)
-        )
-        nbytes = int(np.prod([int(d) for d in meta.dims])) * work_dtype.itemsize
-        storage_sel = self._select_storage(
-            nbytes, storage, memory_budget, spill_codec
-        )
+        itemsize = np.dtype(np.float64 if dtype is None else dtype).itemsize
+        nbytes = int(np.prod([int(d) for d in meta.dims])) * itemsize
+        storage_sel = self._select_storage(nbytes, opts)
         procs = n_procs if n_procs is not None else self._auto_procs
         effective_procs = resolve_auto_procs(procs)
         selection = select_backend(
@@ -1010,6 +1102,33 @@ class TuckerSession:
             self._hits = 0
             self._misses = 0
 
+    def _cached(
+        self, key: tuple, build: Callable[[], CompiledPlan]
+    ) -> tuple[CompiledPlan, bool]:
+        """LRU get-or-build; returns ``(plan, from_cache)``.
+
+        The only place the cache and its counters change: ``cache_info``
+        and the ``plan_cache_hits`` / ``plan_cache_misses`` metrics move
+        together. ``build`` runs unlocked (planning can be slow); two
+        threads racing the same key both build, last-put wins — wasted
+        work, never a corrupted cache.
+        """
+        with self._cache_lock:
+            cached = self._cache.get(key)
+            if cached is not None:
+                self._cache.move_to_end(key)
+                self._hits += 1
+                self.metrics.counter("plan_cache_hits").inc()
+                return cached, True
+            self._misses += 1
+        self.metrics.counter("plan_cache_misses").inc()
+        compiled = build()
+        with self._cache_lock:
+            self._cache[key] = compiled
+            while len(self._cache) > self._cache_size:
+                self._cache.popitem(last=False)
+        return compiled, False
+
     def _resolve_procs(
         self,
         planner: str | Planner,
@@ -1019,7 +1138,7 @@ class TuckerSession:
         if isinstance(planner, Planner):
             procs = planner.n_procs
         elif n_procs is not None:
-            procs = check_positive_int(n_procs, "n_procs")
+            procs = n_procs
         else:
             procs = self.backend.default_procs
         if (
@@ -1042,30 +1161,23 @@ class TuckerSession:
         return procs
 
     def _compile(
-        self,
-        meta: TensorMeta,
-        n_procs: int | None,
-        planner: str | Planner,
-        dtype,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_codec: str | None = None,
+        self, meta: TensorMeta, opts: RunOptions, dtype
     ) -> tuple[CompiledPlan, bool]:
-        """Compile (or fetch from cache); returns ``(plan, from_cache)``."""
+        """Compile (or fetch from cache); returns ``(plan, from_cache)``.
+
+        ``dtype`` is the working dtype (``None``: float64).
+        """
         from repro.hooi.portfolio import select_plan
 
+        planner = opts.planner
+        explicit = isinstance(planner, Planner)
         self._auto_select(
-            meta,
-            planner.n_procs if isinstance(planner, Planner) else n_procs,
-            dtype,
-            storage,
-            memory_budget,
-            spill_codec,
+            meta, planner.n_procs if explicit else opts.n_procs, dtype, opts
         )
-        procs = self._resolve_procs(planner, n_procs, meta)
+        procs = self._resolve_procs(planner, opts.n_procs, meta)
         if (
-            n_procs is None
-            and not isinstance(planner, Planner)
+            opts.n_procs is None
+            and not explicit
             and not isinstance(self.backend, SimClusterBackend)
         ):
             # The count came from a machine default (cores - 1, say), not
@@ -1074,40 +1186,26 @@ class TuckerSession:
             from repro.core.grids import feasible_procs
 
             procs = feasible_procs(meta, procs)
-        if isinstance(planner, Planner):
+        if explicit:
             planner_key = f"{planner.tree_kind}:{planner.grid_kind}"
         else:
             planner_key = str(planner)
-        dtype = resolve_dtype(np.float64, dtype) if dtype is not None else np.dtype(np.float64)
-        key = plan_cache_key(meta, procs, planner_key, dtype)
-        with self._cache_lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits += 1
-                self.metrics.counter("plan_cache_hits").inc()
-                return cached, True
-            self._misses += 1
-        self.metrics.counter("plan_cache_misses").inc()
-        logger.info(
-            "compiling plan: dims=%s core=%s n_procs=%d planner=%s",
-            meta.dims, meta.core, procs, planner_key,
-        )
-        # Planning runs unlocked (it can be slow); two threads racing the
-        # same key both compile, last-put wins — wasted work, never a
-        # corrupted cache.
-        if isinstance(planner, Planner):
-            plan = planner.plan(meta)
-        elif planner == "portfolio":
-            plan = select_plan(meta, procs).plan
-        else:
-            plan = Planner(procs, tree=planner, grid="dynamic").plan(meta)
-        compiled = compile_plan(plan, dtype=dtype, planner_key=planner_key)
-        with self._cache_lock:
-            self._cache[key] = compiled
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return compiled, False
+        dtype = np.dtype(np.float64 if dtype is None else dtype)
+
+        def build() -> CompiledPlan:
+            logger.info(
+                "compiling plan: dims=%s core=%s n_procs=%d planner=%s",
+                meta.dims, meta.core, procs, planner_key,
+            )
+            if explicit:
+                plan = planner.plan(meta)
+            elif planner == "portfolio":
+                plan = select_plan(meta, procs).plan
+            else:
+                plan = Planner(procs, tree=planner, grid="dynamic").plan(meta)
+            return compile_plan(plan, dtype=dtype, planner_key=planner_key)
+
+        return self._cached(plan_cache_key(meta, procs, planner_key, dtype), build)
 
     def compile(
         self,
@@ -1116,23 +1214,20 @@ class TuckerSession:
         *,
         planner: str | Planner = "portfolio",
         dtype=None,
-        storage: str | None = None,
     ) -> CompiledPlan:
         """Plan + lower ``meta`` (cached).
 
         ``planner`` is ``"portfolio"`` (model every configuration, keep the
         fastest), a tree kind (planned with dynamic grids), or a ready
         :class:`Planner`. ``n_procs`` defaults to the backend's natural
-        parallelism. ``storage`` is accepted (and validated) for API
-        symmetry with :meth:`run`: plans are metadata-only and identical
-        for every storage mode, so the same compiled plan serves resident
-        and spilled executions alike.
+        parallelism. Plans are metadata-only and identical for every
+        storage mode, so the same compiled plan serves resident and
+        spilled executions alike.
         """
-        if storage is not None and storage not in STORAGE_MODES:
-            raise ValueError(
-                f"storage must be one of {STORAGE_MODES}, got {storage!r}"
-            )
-        compiled, _ = self._compile(meta, n_procs, planner, dtype)
+        opts = replace(
+            self.options, n_procs=n_procs, planner=planner, dtype=dtype
+        )
+        compiled, _ = self._compile(meta, opts, opts.dtype)
         return compiled
 
     # -- input handling --------------------------------------------------- #
@@ -1142,75 +1237,50 @@ class TuckerSession:
         tensor: np.ndarray,
         core_dims: Sequence[int] | None,
         plan: CompiledPlan | Plan | None,
-        planner: str | Planner,
-        n_procs: int | None,
-        dtype,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_codec: str | None = None,
+        opts: RunOptions,
     ) -> tuple[np.ndarray, CompiledPlan, bool]:
         """Resolve dtype, validate shapes, compile-or-fetch the plan."""
         # Keep ndarray subclasses (np.memmap in particular): a lazily
         # opened .npy must reach distribute() as a mapping so spilled
         # runs can wrap the file in place instead of materializing it.
         arr = tensor if isinstance(tensor, np.ndarray) else np.asarray(tensor)
-        if isinstance(plan, Plan):
-            work_dtype = resolve_dtype(arr, dtype)
-            self._auto_select(
-                plan.meta, plan.n_procs, work_dtype, storage, memory_budget,
-                spill_codec,
+        if plan is None:
+            if core_dims is None:
+                raise ValueError("core_dims is required when no plan is given")
+            work_dtype = resolve_dtype(arr, opts.dtype)
+            arr = _maybe_cast(arr, work_dtype)
+            core = check_core_dims(core_dims, arr.shape)
+            meta = TensorMeta(dims=arr.shape, core=core)
+            compiled, from_cache = self._compile(meta, opts, work_dtype)
+            return arr, compiled, from_cache
+        if isinstance(plan, CompiledPlan) and opts.dtype is None:
+            work_dtype = plan.dtype
+        else:
+            work_dtype = resolve_dtype(arr, opts.dtype)
+        self._auto_select(plan.meta, plan.n_procs, work_dtype, opts)
+        if plan.meta.dims != arr.shape:
+            raise ValueError(
+                f"tensor shape {arr.shape} != plan dims {plan.meta.dims}"
             )
-            if plan.meta.dims != arr.shape:
-                raise ValueError(
-                    f"tensor shape {arr.shape} != plan dims {plan.meta.dims}"
-                )
+        if isinstance(plan, Plan):
             # Explicit plans are cached by object identity (Plan holds
             # unhashable parts); the cached CompiledPlan retains the plan,
             # so the id cannot be recycled while the entry lives.
-            key = ("explicit", id(plan), work_dtype.name)
-            with self._cache_lock:
-                cached = self._cache.get(key)
-                if cached is not None and cached.plan is plan:
-                    self._cache.move_to_end(key)
-                    self._hits += 1
-                    return _maybe_cast(arr, work_dtype), cached, True
-                self._misses += 1
-            compiled = compile_plan(
-                plan,
-                dtype=work_dtype,
-                planner_key=f"{plan.tree_kind}:{plan.grid_kind}",
+            compiled, from_cache = self._cached(
+                ("explicit", id(plan), work_dtype.name),
+                lambda: compile_plan(
+                    plan,
+                    dtype=work_dtype,
+                    planner_key=f"{plan.tree_kind}:{plan.grid_kind}",
+                ),
             )
-            with self._cache_lock:
-                self._cache[key] = compiled
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-            return _maybe_cast(arr, work_dtype), compiled, False
-        if isinstance(plan, CompiledPlan):
-            work_dtype = resolve_dtype(arr, dtype) if dtype is not None else plan.dtype
-            self._auto_select(
-                plan.meta, plan.n_procs, work_dtype, storage, memory_budget,
-                spill_codec,
-            )
-            if plan.meta.dims != arr.shape:
-                raise ValueError(
-                    f"tensor shape {arr.shape} != plan dims {plan.meta.dims}"
-                )
+        else:
+            compiled, from_cache = plan, False
             if work_dtype != plan.dtype:
-                plan = compile_plan(
+                compiled = compile_plan(
                     plan.plan, dtype=work_dtype, planner_key=plan.planner_key
                 )
-            return _maybe_cast(arr, work_dtype), plan, False
-        if core_dims is None:
-            raise ValueError("core_dims is required when no plan is given")
-        work_dtype = resolve_dtype(arr, dtype)
-        arr = _maybe_cast(arr, work_dtype)
-        core = check_core_dims(core_dims, arr.shape)
-        meta = TensorMeta(dims=arr.shape, core=core)
-        compiled, from_cache = self._compile(
-            meta, n_procs, planner, work_dtype, storage, memory_budget,
-            spill_codec,
-        )
-        return arr, compiled, from_cache
+        return _maybe_cast(arr, work_dtype), compiled, from_cache
 
     # -- algorithms ------------------------------------------------------- #
 
@@ -1219,8 +1289,7 @@ class TuckerSession:
         arr: np.ndarray,
         factors: Sequence[np.ndarray],
         compiled: CompiledPlan,
-        max_iters: int,
-        tol: float,
+        opts: RunOptions,
         store=None,
         handle=None,
         t_norm_sq: float | None = None,
@@ -1246,8 +1315,9 @@ class TuckerSession:
         core_handle = None
         converged = False
         stopped_reason = "max_iters"
+        tol = opts.tol
         with tr.span("hooi", kind="phase"):
-            for it in range(max_iters):
+            for it in range(opts.max_iters):
                 tag = f"hooi:it{it}"
                 with tr.span(tag, kind="phase", iteration=it):
                     new = run_tree_steps(
@@ -1297,140 +1367,20 @@ class TuckerSession:
         dec = TuckerDecomposition(core=core, factors=list(factors))
         return dec, errors, converged, stopped_reason
 
-    def hooi(
-        self,
-        tensor: np.ndarray,
-        init,
-        *,
-        plan: CompiledPlan | Plan | None = None,
-        planner: str | Planner = "optimal",
-        n_procs: int | None = None,
-        dtype=None,
-        max_iters: int = 10,
-        tol: float = 1e-8,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_dir: str | None = None,
-        spill_codec: str | None = None,
-    ) -> TuckerResult:
-        """Iterate HOOI from an initial decomposition (or factor list).
-
-        ``init`` is a :class:`TuckerDecomposition` or a sequence of factor
-        matrices. Per-iteration errors come from the norm identity using
-        backend reductions, so no rank ever holds the full tensor on the
-        distributed backend. ``storage`` / ``memory_budget`` /
-        ``spill_dir`` / ``spill_codec`` override the session's storage
-        policy for this run.
-        """
-        with self._run_lock:
-            tmark = self.tracer.mark()
-            try:
-                with self.tracer.span("run", kind="phase", method="hooi") as root:
-                    result = self._hooi_impl(
-                        tensor, init, plan=plan, planner=planner,
-                        n_procs=n_procs, dtype=dtype, max_iters=max_iters,
-                        tol=tol, storage=storage, memory_budget=memory_budget,
-                        spill_dir=spill_dir, spill_codec=spill_codec,
-                        root=root,
-                    )
-            except BaseException:
-                self._stash_error_trace(tmark)
-                raise
-            result.seconds = root.seconds
-            result.trace = self._finish_trace(root, tmark)
-            return result
-
-    def _hooi_impl(
-        self, tensor, init, *, plan, planner, n_procs, dtype, max_iters,
-        tol, storage, memory_budget, spill_dir, spill_codec, root,
-    ) -> TuckerResult:
-        factors = init if isinstance(init, (list, tuple)) else init.factors
-        core_dims = tuple(f.shape[1] for f in factors)
-        tr = self._tr()
-        with tr.span("compile", kind="phase"):
-            arr, compiled, from_cache = self._prepare(
-                tensor, core_dims, plan, planner, n_procs, dtype,
-                storage, memory_budget, spill_codec,
-            )
-        # Policy sees the *working* bytes: a float32 file run at float64
-        # occupies twice its on-disk size once cast.
-        selection = self._select_storage(
-            arr.size * compiled.dtype.itemsize, storage, memory_budget,
-            spill_codec,
-        )
-        tr.event(
-            "select:storage", mode=selection.mode, codec=selection.codec,
-            reason=selection.reason,
-        )
-        self._annotate_root(root, compiled, selection, from_cache)
-        mark = self.backend.mark_stats()
-        if max_iters <= 0:
-            # Legacy drivers returned the init untouched for max_iters=0.
-            if isinstance(init, (list, tuple)):
-                raise ValueError(
-                    "max_iters must be >= 1 when init is a bare factor list"
-                )
-            return TuckerResult(
-                decomposition=init,
-                plan=compiled.plan,
-                errors=[],
-                sthosvd_error=float("nan"),
-                n_iters=0,
-                from_cache=from_cache,
-                ledger=self.backend.ledger_since(mark),
-                # Nothing was placed, so nothing spilled — report what
-                # actually happened, not what the policy would have done.
-                storage="memory",
-                storage_reason="max_iters <= 0: input never placed",
-                **self._result_meta(),
-            )
-        run_store = self._open_store(selection, spill_dir)
-        try:
-            with self._observed(run_store):
-                arr = _cast_for_run(arr, compiled.dtype, run_store)
-                dec, errors, converged, stopped_reason = self._hooi_loop(
-                    arr, factors, compiled, max_iters, tol, store=run_store
-                )
-        finally:
-            if run_store is not None:
-                root.set(resident_peak=float(run_store.gauge.peak))
-                run_store.close()
-        return TuckerResult(
-            decomposition=dec,
-            plan=compiled.plan,
-            errors=errors,
-            sthosvd_error=float("nan"),
-            n_iters=len(errors),
-            converged=converged,
-            stopped_reason=stopped_reason,
-            from_cache=from_cache,
-            ledger=self.backend.ledger_since(mark),
-            storage=selection.mode,
-            storage_reason=selection.reason,
-            **(run_store.codec_stats() if run_store is not None else {}),
-            **self._result_meta(),
-        )
-
     def _sthosvd_pass(
-        self, arr: np.ndarray, compiled: CompiledPlan, store=None, handle=None
+        self, compiled: CompiledPlan, handle
     ) -> tuple["TuckerDecomposition", float, float]:  # noqa: F821
         """One STHOSVD pass; ``(decomposition, error, input_norm_sq)``.
 
-        ``handle``, when given, is an already distributed input (callers
-        running several phases distribute once and share it — the input
-        handle is never mutated by the kernels). The input's squared
-        norm rides along so multi-phase callers don't re-reduce it.
+        ``handle`` is the already distributed input (the HOOI phase
+        reuses it — the input handle is never mutated by the kernels).
+        The input's squared norm rides along so HOOI doesn't re-reduce it.
         """
         from repro.hooi.decomposition import TuckerDecomposition
 
         backend = self.backend
         tr = self._tr()
         meta = compiled.meta
-        if handle is None:
-            with tr.span("distribute", kind="phase"):
-                handle = backend.distribute(
-                    arr, compiled.initial_grid, store=store
-                )
         with tr.span("sthosvd", kind="phase"):
             t_norm_sq = backend.fro_norm_sq(handle, tag="norm:input")
             workspace = compiled.gram_workspace()
@@ -1459,14 +1409,7 @@ class TuckerSession:
         )
 
     def _rand_pass(
-        self,
-        compiled: CompiledPlan,
-        handle,
-        *,
-        method: str,
-        oversample: int,
-        power_iters: int,
-        seed: int,
+        self, compiled: CompiledPlan, handle, opts: RunOptions
     ) -> tuple["TuckerDecomposition", float, float]:  # noqa: F821
         """One randomized pass; ``(decomposition, error, input_norm_sq)``.
 
@@ -1483,17 +1426,19 @@ class TuckerSession:
         backend = self.backend
         tr = self._tr()
         meta = compiled.meta
-        rng = np.random.default_rng(seed)
+        method = opts.method
+        rng = np.random.default_rng(opts.seed)
         steps = compile_rand_steps(
             compiled.sthosvd_order,
             meta,
             method=method,
-            oversample=oversample,
-            power_iters=power_iters,
+            oversample=opts.oversample,
+            power_iters=opts.power_iters,
         )
         with tr.span(
-            method, kind="phase", seed=int(seed),
-            oversample=int(oversample), power_iters=int(power_iters),
+            method, kind="phase", seed=int(opts.seed),
+            oversample=int(opts.oversample),
+            power_iters=int(opts.power_iters),
         ):
             factors, current, t_norm_sq, core = run_rand_steps(
                 backend, handle, steps, meta,
@@ -1514,165 +1459,7 @@ class TuckerSession:
         )
         return dec, error, float(t_norm_sq)
 
-    def sthosvd(
-        self,
-        tensor: np.ndarray,
-        core_dims: Sequence[int] | None = None,
-        *,
-        plan: CompiledPlan | Plan | None = None,
-        planner: str | Planner = "portfolio",
-        n_procs: int | None = None,
-        dtype=None,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_dir: str | None = None,
-        spill_codec: str | None = None,
-    ) -> TuckerResult:
-        """One STHOSVD pass on the backend (static grid, optimal order)."""
-        with self._run_lock:
-            tmark = self.tracer.mark()
-            try:
-                with self.tracer.span("run", kind="phase", method="sthosvd") as root:
-                    result = self._sthosvd_impl(
-                        tensor, core_dims, plan=plan, planner=planner,
-                        n_procs=n_procs, dtype=dtype, storage=storage,
-                        memory_budget=memory_budget, spill_dir=spill_dir,
-                        spill_codec=spill_codec, root=root,
-                    )
-            except BaseException:
-                self._stash_error_trace(tmark)
-                raise
-            result.seconds = root.seconds
-            result.trace = self._finish_trace(root, tmark)
-            return result
-
-    def _sthosvd_impl(
-        self, tensor, core_dims, *, plan, planner, n_procs, dtype,
-        storage, memory_budget, spill_dir, spill_codec, root,
-    ) -> TuckerResult:
-        tr = self._tr()
-        with tr.span("compile", kind="phase"):
-            arr, compiled, from_cache = self._prepare(
-                tensor, core_dims, plan, planner, n_procs, dtype,
-                storage, memory_budget, spill_codec,
-            )
-        # Policy sees the *working* bytes: a float32 file run at float64
-        # occupies twice its on-disk size once cast.
-        selection = self._select_storage(
-            arr.size * compiled.dtype.itemsize, storage, memory_budget,
-            spill_codec,
-        )
-        tr.event(
-            "select:storage", mode=selection.mode, codec=selection.codec,
-            reason=selection.reason,
-        )
-        self._annotate_root(root, compiled, selection, from_cache)
-        mark = self.backend.mark_stats()
-        run_store = self._open_store(selection, spill_dir)
-        try:
-            with self._observed(run_store):
-                arr = _cast_for_run(arr, compiled.dtype, run_store)
-                dec, error, _ = self._sthosvd_pass(
-                    arr, compiled, store=run_store
-                )
-        finally:
-            if run_store is not None:
-                root.set(resident_peak=float(run_store.gauge.peak))
-                run_store.close()
-        return TuckerResult(
-            decomposition=dec,
-            plan=compiled.plan,
-            errors=[],
-            sthosvd_error=error,
-            n_iters=0,
-            from_cache=from_cache,
-            ledger=self.backend.ledger_since(mark),
-            storage=selection.mode,
-            storage_reason=selection.reason,
-            **(run_store.codec_stats() if run_store is not None else {}),
-            **self._result_meta(),
-        )
-
-    def run(
-        self,
-        tensor: np.ndarray,
-        core_dims: Sequence[int] | None = None,
-        *,
-        plan: CompiledPlan | Plan | None = None,
-        planner: str | Planner = "portfolio",
-        n_procs: int | None = None,
-        dtype=None,
-        max_iters: int = 10,
-        tol: float = 1e-8,
-        skip_hooi: bool = False,
-        method: str = "exact",
-        oversample: int = 5,
-        power_iters: int = 0,
-        seed: int = 0,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_dir: str | None = None,
-        spill_codec: str | None = None,
-    ) -> TuckerResult:
-        """The full pipeline: STHOSVD init + HOOI refinement to tolerance.
-
-        Repeated calls with same-shaped tensors hit the plan cache
-        (``result.from_cache``). ``dtype`` overrides the working precision;
-        by default float32 inputs stay float32, everything else runs in
-        float64.
-
-        ``method`` picks the initialization algorithm. ``"exact"`` (the
-        default) is the Gram+EVD STHOSVD. ``"rsthosvd"`` replaces each
-        mode's Gram step with a randomized range finder — the mode-``n``
-        basis comes from a small sketch ``W = Y x_{m != n} Omega_m``
-        with Gaussian test matrices of width ``core[n] + oversample``
-        (clamped to the mode length), optionally sharpened by
-        ``power_iters`` power iterations — and still truncates
-        sequentially. ``"sp-rsthosvd"`` accumulates every mode sketch
-        plus a core sketch in one single pass over the input and solves
-        the core from the sketches alone; its reported error is a
-        clamped norm-identity *estimate* (the sketched core is not a
-        projection). Both are deterministic given ``seed``
-        (``numpy.random.default_rng``). Randomized runs execute on the
-        configured backend — including ``simcluster``, whose ledger then
-        charges the sketch's reduced communication volumes.
-
-        ``storage`` / ``memory_budget`` / ``spill_dir`` override the
-        session's storage policy for this run: a spilled run
-        (``result.storage == "mmap"``) stages the tensor through
-        memory-mapped block files in a run-private spill directory —
-        removed before this method returns — instead of holding it
-        resident, so inputs larger than RAM (or than the budget)
-        decompose on the shared-memory backends. (``simcluster`` spills
-        its per-rank bricks too, but its sequential STHOSVD init still
-        materializes working copies — it is a measurement instrument,
-        not a capacity path.)
-        The run is timed through the session tracer's root span
-        (``result.seconds``); on traced sessions ``result.trace`` holds
-        the full span tree, a metrics snapshot and the plan's modeled
-        per-step volumes.
-        """
-        with self._run_lock:
-            tmark = self.tracer.mark()
-            try:
-                with self.tracer.span(
-                    "run", kind="phase", method="run", algorithm=method
-                ) as root:
-                    result = self._run_impl(
-                        tensor, core_dims, plan=plan, planner=planner,
-                        n_procs=n_procs, dtype=dtype, max_iters=max_iters,
-                        tol=tol, skip_hooi=skip_hooi, method=method,
-                        oversample=oversample, power_iters=power_iters,
-                        seed=seed, storage=storage,
-                        memory_budget=memory_budget, spill_dir=spill_dir,
-                        spill_codec=spill_codec, root=root,
-                    )
-            except BaseException:
-                self._stash_error_trace(tmark)
-                raise
-            result.seconds = root.seconds
-            result.trace = self._finish_trace(root, tmark)
-            return result
+    # -- the run pipeline ------------------------------------------------- #
 
     def _annotate_root(
         self, root, compiled: CompiledPlan, selection, from_cache: bool
@@ -1692,27 +1479,54 @@ class TuckerSession:
 
             root.set(modeled_volumes=modeled_step_volumes(compiled.plan))
 
-    def _run_impl(
-        self, tensor, core_dims, *, plan, planner, n_procs, dtype,
-        max_iters, tol, skip_hooi, method, oversample, power_iters, seed,
-        storage, memory_budget, spill_dir, spill_codec, root,
+    def _execute(
+        self,
+        tensor,
+        core_dims,
+        plan,
+        opts: RunOptions,
+        init: str,
+        *,
+        sweeps: bool,
+        start=None,
+        **root_attrs,
     ) -> TuckerResult:
-        if method != "exact" and method not in RAND_METHODS:
-            raise ValueError(
-                f"method must be 'exact' or one of {RAND_METHODS}, "
-                f"got {method!r}"
-            )
+        """The one run pipeline, timed and traced under a root span.
+
+        prepare → select storage → place → initialize → HOOI sweeps →
+        result. The entry points differ only in ``init``: ``"given"``
+        (``start``, a decomposition or factor list — :meth:`hooi`),
+        ``"backend"`` (STHOSVD on the backend), ``"sequential"`` (host
+        STHOSVD — :meth:`run` on simcluster) or ``"randomized"``
+        (``opts.method``). ``sweeps`` says whether HOOI follows.
+        """
+        with self._run_lock:
+            tmark = self.tracer.mark()
+            try:
+                with self.tracer.span("run", kind="phase", **root_attrs) as root:
+                    result = self._pipeline(
+                        tensor, core_dims, plan, opts, init, sweeps, start,
+                        root,
+                    )
+            except BaseException:
+                self._stash_error_trace(tmark)
+                raise
+            result.seconds = root.seconds
+            result.trace = self._finish_trace(root, tmark)
+            return result
+
+    def _pipeline(
+        self, tensor, core_dims, plan, opts, init, sweeps, start, root
+    ) -> TuckerResult:
         tr = self._tr()
         with tr.span("compile", kind="phase"):
             arr, compiled, from_cache = self._prepare(
-                tensor, core_dims, plan, planner, n_procs, dtype,
-                storage, memory_budget, spill_codec,
+                tensor, core_dims, plan, opts
             )
         # Policy sees the *working* bytes: a float32 file run at float64
         # occupies twice its on-disk size once cast.
         selection = self._select_storage(
-            arr.size * compiled.dtype.itemsize, storage, memory_budget,
-            spill_codec,
+            arr.size * compiled.dtype.itemsize, opts
         )
         tr.event(
             "select:storage", mode=selection.mode, codec=selection.codec,
@@ -1722,27 +1536,36 @@ class TuckerSession:
             logger.info("run spills to mmap store: %s", selection.reason)
         self._annotate_root(root, compiled, selection, from_cache)
         mark = self.backend.mark_stats()
-        run_store = self._open_store(selection, spill_dir)
+        if init == "given" and opts.max_iters <= 0:
+            # HOOI from an init with no sweeps hands the init back.
+            if isinstance(start, (list, tuple)):
+                raise ValueError(
+                    "max_iters must be >= 1 when init is a bare factor list"
+                )
+            return TuckerResult(
+                decomposition=start,
+                plan=compiled.plan,
+                errors=[],
+                sthosvd_error=float("nan"),
+                n_iters=0,
+                from_cache=from_cache,
+                ledger=self.backend.ledger_since(mark),
+                # Nothing was placed, so nothing spilled — report what
+                # actually happened, not what the policy would have done.
+                storage="memory",
+                storage_reason="max_iters <= 0: input never placed",
+                **self._result_meta(),
+            )
+        dec = start
+        init_error = float("nan")
+        errors: list[float] = []
+        converged, stopped_reason = True, ""
+        run_store = self._open_store(selection, opts)
         try:
             with self._observed(run_store):
                 arr = _cast_for_run(arr, compiled.dtype, run_store)
-                handle = None
-                t_norm_sq = None
-                if method in RAND_METHODS:
-                    # Randomized init runs through the backend on EVERY
-                    # backend — on simcluster that is the point: the
-                    # ledger charges the sketches' reduced volumes
-                    # instead of the exact path's Gram traffic.
-                    with tr.span("distribute", kind="phase"):
-                        handle = self.backend.distribute(
-                            arr, compiled.initial_grid, store=run_store
-                        )
-                    init, init_error, t_norm_sq = self._rand_pass(
-                        compiled, handle, method=method,
-                        oversample=oversample, power_iters=power_iters,
-                        seed=seed,
-                    )
-                elif isinstance(self.backend, SimClusterBackend):
+                handle = t_norm_sq = None
+                if init == "sequential":
                     # Sequential init on the cluster backend: the paper
                     # does not charge the initial decomposition, and the
                     # HOOI initial grid need not be STHOSVD-feasible (a
@@ -1754,48 +1577,38 @@ class TuckerSession:
                     from repro.hooi.sthosvd import sthosvd as sthosvd_sequential
 
                     with tr.span("sthosvd", kind="phase", init="sequential"):
-                        init = sthosvd_sequential(
+                        dec = sthosvd_sequential(
                             arr,
                             compiled.meta.core,
                             mode_order=list(compiled.sthosvd_order),
                             dtype=compiled.dtype,
                         )
-                        init_error = init.error_vs(arr)
-                else:
+                        init_error = dec.error_vs(arr)
+                elif init != "given":
                     # Distribute exactly once for both phases: the input
                     # handle is read-only to every kernel, and re-placing
                     # it would double the spill (or shared-memory) copy
-                    # I/O.
+                    # I/O. Randomized init runs through the backend on
+                    # EVERY backend — on simcluster the ledger then
+                    # charges the sketches' reduced volumes.
                     with tr.span("distribute", kind="phase"):
                         handle = self.backend.distribute(
                             arr, compiled.initial_grid, store=run_store
                         )
-                    init, init_error, t_norm_sq = self._sthosvd_pass(
-                        arr, compiled, store=run_store, handle=handle
+                    if init == "randomized":
+                        dec, init_error, t_norm_sq = self._rand_pass(
+                            compiled, handle, opts
+                        )
+                    else:
+                        dec, init_error, t_norm_sq = self._sthosvd_pass(
+                            compiled, handle
+                        )
+                if sweeps:
+                    factors = dec if isinstance(dec, (list, tuple)) else dec.factors
+                    dec, errors, converged, stopped_reason = self._hooi_loop(
+                        arr, factors, compiled, opts,
+                        store=run_store, handle=handle, t_norm_sq=t_norm_sq,
                     )
-                if skip_hooi or max_iters <= 0:
-                    return TuckerResult(
-                        decomposition=init,
-                        plan=compiled.plan,
-                        errors=[],
-                        sthosvd_error=init_error,
-                        n_iters=0,
-                        method=method,
-                        from_cache=from_cache,
-                        ledger=self.backend.ledger_since(mark),
-                        storage=selection.mode,
-                        storage_reason=selection.reason,
-                        **(
-                            run_store.codec_stats()
-                            if run_store is not None
-                            else {}
-                        ),
-                        **self._result_meta(),
-                    )
-                dec, errors, converged, stopped_reason = self._hooi_loop(
-                    arr, init.factors, compiled, max_iters, tol,
-                    store=run_store, handle=handle, t_norm_sq=t_norm_sq,
-                )
         finally:
             if run_store is not None:
                 root.set(resident_peak=float(run_store.gauge.peak))
@@ -1806,7 +1619,7 @@ class TuckerSession:
             errors=errors,
             sthosvd_error=init_error,
             n_iters=len(errors),
-            method=method,
+            method=opts.method if init == "randomized" else "exact",
             converged=converged,
             stopped_reason=stopped_reason,
             from_cache=from_cache,
@@ -1817,28 +1630,132 @@ class TuckerSession:
             **self._result_meta(),
         )
 
+    # -- entry points ----------------------------------------------------- #
+
+    def run(
+        self,
+        tensor: np.ndarray,
+        core_dims: Sequence[int] | None = None,
+        *,
+        plan: CompiledPlan | Plan | None = None,
+        options: RunOptions | None = None,
+        **overrides: Any,
+    ) -> TuckerResult:
+        """The full pipeline: initialization + HOOI refinement to tolerance.
+
+        ``options`` replaces the session's base :attr:`options`; keyword
+        ``overrides`` are any :class:`RunOptions` fields (``planner``
+        defaults to ``"portfolio"``; ``None`` for a storage setting keeps
+        the session's). Repeated calls with same-shaped tensors hit the
+        plan cache (``result.from_cache``). ``dtype`` overrides the
+        working precision; by default float32 inputs stay float32,
+        everything else runs in float64.
+
+        ``method`` picks the initialization algorithm. ``"exact"`` (the
+        default) is the Gram+EVD STHOSVD. ``"rsthosvd"`` replaces each
+        mode's Gram step with a randomized range finder — the mode-``n``
+        basis comes from a small sketch ``W = Y x_{m != n} Omega_m``
+        with Gaussian test matrices of width ``core[n] + oversample``
+        (clamped to the mode length), optionally sharpened by
+        ``power_iters`` power iterations — and still truncates
+        sequentially. ``"sp-rsthosvd"`` accumulates every mode sketch
+        plus a core sketch in one single pass over the input and solves
+        the core from the sketches alone; its reported error is a
+        clamped norm-identity *estimate* (the sketched core is not a
+        projection). Both are deterministic given ``seed``
+        (``numpy.random.default_rng``). Randomized runs execute on the
+        configured backend — including ``simcluster``, whose ledger then
+        charges the sketch's reduced communication volumes.
+        ``skip_hooi=True`` (or ``max_iters=0``) stops after the
+        initialization.
+
+        ``storage`` / ``memory_budget`` / ``spill_dir`` / ``spill_codec``
+        override the session's storage policy for this run: a spilled run
+        (``result.storage == "mmap"``) stages the tensor through
+        memory-mapped block files in a run-private spill directory —
+        removed before this method returns — instead of holding it
+        resident, so inputs larger than RAM (or than the budget)
+        decompose on the shared-memory backends. (``simcluster`` spills
+        its per-rank bricks too, but its sequential STHOSVD init still
+        materializes working copies — it is a measurement instrument,
+        not a capacity path.)
+        The run is timed through the session tracer's root span
+        (``result.seconds``); on traced sessions ``result.trace`` holds
+        the full span tree, a metrics snapshot and the plan's modeled
+        per-step volumes.
+        """
+        opts = self._options(options, overrides, _RUN_KEYS)
+        if opts.method in RAND_METHODS:
+            init = "randomized"
+        elif isinstance(self.backend, SimClusterBackend):
+            init = "sequential"
+        else:
+            init = "backend"
+        return self._execute(
+            tensor, core_dims, plan, opts, init,
+            sweeps=not opts.skip_hooi and opts.max_iters > 0,
+            method="run", algorithm=opts.method,
+        )
+
+    def sthosvd(
+        self,
+        tensor: np.ndarray,
+        core_dims: Sequence[int] | None = None,
+        *,
+        plan: CompiledPlan | Plan | None = None,
+        options: RunOptions | None = None,
+        **overrides: Any,
+    ) -> TuckerResult:
+        """One STHOSVD pass on the backend (static grid, optimal order).
+
+        Reads the planning (``planner``, default ``"portfolio"``;
+        ``n_procs``; ``dtype``) and storage settings of ``options`` /
+        ``overrides``. On ``simcluster`` this is the distributed STHOSVD.
+        """
+        opts = self._options(options, overrides, _STHOSVD_KEYS)
+        return self._execute(
+            tensor, core_dims, plan, opts, "backend", sweeps=False,
+            method="sthosvd",
+        )
+
+    def hooi(
+        self,
+        tensor: np.ndarray,
+        init,
+        *,
+        plan: CompiledPlan | Plan | None = None,
+        options: RunOptions | None = None,
+        **overrides: Any,
+    ) -> TuckerResult:
+        """Iterate HOOI from an initial decomposition (or factor list).
+
+        ``init`` is a :class:`TuckerDecomposition` or a sequence of factor
+        matrices. Per-iteration errors come from the norm identity using
+        backend reductions, so no rank ever holds the full tensor on the
+        distributed backend. Reads the planning (``planner``, default
+        ``"optimal"``), ``max_iters`` / ``tol`` and storage settings of
+        ``options`` / ``overrides``; ``max_iters=0`` returns ``init``
+        untouched.
+        """
+        opts = self._options(
+            options, overrides, _HOOI_KEYS, {"planner": "optimal"}
+        )
+        factors = init if isinstance(init, (list, tuple)) else init.factors
+        return self._execute(
+            tensor, tuple(f.shape[1] for f in factors), plan, opts, "given",
+            sweeps=True, start=init, method="hooi",
+        )
+
     def run_many(
         self,
         inputs: Iterable,
         core_dims: Sequence[int] | Callable | None = None,
         *,
-        planner: str | Planner = "portfolio",
-        n_procs: int | None = None,
-        dtype=None,
-        max_iters: int = 10,
-        tol: float = 1e-8,
-        skip_hooi: bool = False,
-        method: str = "exact",
-        oversample: int = 5,
-        power_iters: int = 0,
-        seed: int = 0,
+        options: RunOptions | None = None,
         max_in_flight: int = 1,
         on_error: str = "raise",
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_dir: str | None = None,
-        spill_codec: str | None = None,
         prefetch: bool = True,
+        **overrides: Any,
     ) -> BatchResult:
         """Decompose a stream of tensors through one warm session.
 
@@ -1849,14 +1766,17 @@ class TuckerSession:
         an arbitrarily long stream never materializes more than the
         executing item (and, spilled, never even that — see below).
         ``core_dims`` is one core shape applied to every item, or a
-        callable ``shape -> core`` for heterogeneous streams.
+        callable ``shape -> core`` for heterogeneous streams. Every item
+        runs :meth:`run` with one :class:`RunOptions` (``options`` and
+        keyword ``overrides``, as for :meth:`run`), built and validated
+        once, before the first item is read.
 
-        ``storage`` / ``memory_budget`` / ``spill_dir`` apply the
-        session's storage policy per item: with a budget set, any item
-        whose bytes exceed it streams through memory-mapped spill blocks
-        (its ``result.storage`` reports ``"mmap"``) while smaller items
-        stay resident — a mixed stream gets per-item out-of-core
-        treatment exactly like it gets per-item backend selection.
+        The storage settings apply the session's storage policy per
+        item: with a budget set, any item whose bytes exceed it streams
+        through memory-mapped spill blocks (its ``result.storage``
+        reports ``"mmap"``) while smaller items stay resident — a mixed
+        stream gets per-item out-of-core treatment exactly like it gets
+        per-item backend selection.
 
         Each distinct ``(shape, core, dtype)`` compiles its plan exactly
         once (the session's LRU plan cache); within the in-flight window
@@ -1891,16 +1811,7 @@ class TuckerSession:
                 f"on_error must be 'raise' or 'skip', got {on_error!r}"
             )
         max_in_flight = check_positive_int(max_in_flight, "max_in_flight")
-        if dtype is not None:
-            resolve_dtype(np.float64, dtype)  # fail fast on a bad knob
-        if storage is not None and storage not in STORAGE_MODES:
-            raise ValueError(
-                f"storage must be one of {STORAGE_MODES}, got {storage!r}"
-            )
-        if memory_budget is not None:
-            parse_bytes(memory_budget)  # fail fast on a bad budget string
-        if spill_codec is not None and spill_codec != "auto":
-            check_codec(spill_codec)  # fail fast on a bad codec name
+        opts = self._options(options, overrides, _RUN_KEYS)
         info = self.cache_info()
         hits0, misses0 = info["hits"], info["misses"]
         self._run_lock.acquire()  # whole-batch scope: tmark..drain is positional
@@ -1911,10 +1822,10 @@ class TuckerSession:
         items: list[BatchItem] = []
         failures: list[BatchFailure] = []
         ledger = StatsLedger()
-        # Warm chunks sized to the (possibly overridden) budget geometry,
-        # never larger than the run stores this batch will open.
+        # Warm chunks sized to this batch's budget geometry, never larger
+        # than the run stores it will open.
         prefetcher = (
-            Prefetcher(chunk_bytes=self.prefetch_chunk_bytes(memory_budget))
+            Prefetcher(chunk_bytes=self.prefetch_chunk_bytes(opts))
             if prefetch
             else None
         )
@@ -1933,7 +1844,7 @@ class TuckerSession:
                     return
                 try:
                     window.append(
-                        _materialize_item(raw, index, core_dims, dtype)
+                        _materialize_item(raw, index, core_dims, opts.dtype)
                     )
                 except Exception as exc:
                     if on_error == "raise":
@@ -1976,22 +1887,7 @@ class TuckerSession:
                                 prefetcher.schedule(nxt.array)
                         try:
                             result = self.run(
-                                entry.array,
-                                entry.core,
-                                planner=planner,
-                                n_procs=n_procs,
-                                dtype=dtype,
-                                max_iters=max_iters,
-                                tol=tol,
-                                skip_hooi=skip_hooi,
-                                method=method,
-                                oversample=oversample,
-                                power_iters=power_iters,
-                                seed=seed,
-                                storage=storage,
-                                memory_budget=memory_budget,
-                                spill_dir=spill_dir,
-                                spill_codec=spill_codec,
+                                entry.array, entry.core, options=opts
                             )
                         except Exception as exc:
                             if on_error == "raise":

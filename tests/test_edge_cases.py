@@ -7,11 +7,21 @@ from repro.core.grids import svd_regrid_target
 from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
 from repro.dist.dtensor import DistTensor
-from repro.hooi.hooi import hooi_sequential, hooi_step_distributed
 from repro.hooi.model import predict
 from repro.hooi.sthosvd import sthosvd
 from repro.mpi.comm import SimCluster
+from repro.session import TuckerSession
 from repro.tensor.random import low_rank_tensor
+
+
+def sequential_hooi(t, init, **kw):
+    return TuckerSession().hooi(t, init, **kw)
+
+
+def one_cluster_sweep(cluster, t, init, plan):
+    """One HOOI invocation on ``cluster``; its tags start ``hooi:it0``."""
+    session = TuckerSession(backend="simcluster", cluster=cluster)
+    return session.hooi(t, init, plan=plan, max_iters=1)
 
 
 class TestModelAllgatherFallback:
@@ -30,12 +40,10 @@ class TestModelAllgatherFallback:
         plan = Planner(4, tree="optimal", grid="static").plan(self.meta)
         t = low_rank_tensor(self.meta.dims, self.meta.core, noise=0.1, seed=0)
         init = sthosvd(t, self.meta.core)
-        cluster = SimCluster(4)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        hooi_step_distributed(dt, init.factors, plan, tag="h")
+        res = one_cluster_sweep(SimCluster(4), t, init, plan)
         rep = predict(plan)
         assert rep.svd.volume > 0
-        assert cluster.stats.volume(tag_prefix="h:svd") <= rep.svd.volume
+        assert res.ledger.volume(tag_prefix="hooi:it0:svd") <= rep.svd.volume
 
 
 class TestDegenerateTensors:
@@ -46,8 +54,8 @@ class TestDegenerateTensors:
         dec = sthosvd(t, (1, 1, 1))
         assert dec.error_vs(t) < 1e-12
         # core (1,1,1) admits only the trivial grid: P must be 1
-        res = hooi_sequential(t, dec, n_procs=1, max_iters=2)
-        assert res.final_error < 1e-6  # norm-identity cancellation floor
+        res = sequential_hooi(t, dec, n_procs=1, max_iters=2)
+        assert res.error < 1e-6  # norm-identity cancellation floor
         assert res.decomposition.error_vs(t) < 1e-12
 
     def test_no_valid_grid_is_a_clear_error(self):
@@ -55,13 +63,13 @@ class TestDegenerateTensors:
         t = np.einsum("i,j,k->ijk", a, b, c)
         dec = sthosvd(t, (1, 1, 1))
         with pytest.raises(ValueError, match="no valid grid"):
-            hooi_sequential(t, dec, n_procs=2, max_iters=1)
+            sequential_hooi(t, dec, n_procs=2, max_iters=1)
 
     def test_tensor_with_zero_slices(self):
         t = low_rank_tensor((8, 7, 6), (2, 2, 2), noise=0.0, seed=3)
         t[0, :, :] = 0.0
         dec = sthosvd(t, (3, 3, 3))
-        res = hooi_sequential(t, dec, n_procs=2, max_iters=3, tol=0.0)
+        res = sequential_hooi(t, dec, n_procs=2, max_iters=3, tol=0.0)
         for a, b in zip(res.errors, res.errors[1:]):
             assert b <= a + 1e-10
 
@@ -73,10 +81,10 @@ class TestDegenerateTensors:
     def test_core_equal_dims_lossless_hooi(self):
         t = low_rank_tensor((5, 4, 3), (5, 4, 3), noise=0.0, seed=4)
         dec = sthosvd(t, (5, 4, 3))
-        res = hooi_sequential(t, dec, n_procs=1, max_iters=2)
+        res = sequential_hooi(t, dec, n_procs=1, max_iters=2)
         # the norm-identity error sqrt(||T||^2 - ||G||^2) cancels
         # catastrophically at exactly zero error; ~sqrt(eps) is the floor
-        assert res.final_error < 1e-6
+        assert res.error < 1e-6
         assert res.decomposition.error_vs(t) < 1e-10  # explicit is exact
 
 
@@ -92,13 +100,11 @@ class TestClusterMismatches:
     def test_single_rank_cluster_end_to_end(self):
         meta = TensorMeta(dims=(8, 6, 4), core=(4, 3, 2))
         plan = Planner(1).plan(meta)
-        cluster = SimCluster(1)
         t = low_rank_tensor(meta.dims, meta.core, noise=0.1, seed=6)
         init = sthosvd(t, meta.core)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        dec, _ = hooi_step_distributed(dt, init.factors, plan)
-        assert cluster.stats.volume() == 0  # P = 1: zero communication
-        assert dec.error_vs(t) <= init.error_vs(t) + 1e-12
+        res = one_cluster_sweep(SimCluster(1), t, init, plan)
+        assert res.ledger.volume() == 0  # P = 1: zero communication
+        assert res.decomposition.error_vs(t) <= init.error_vs(t) + 1e-12
 
 
 class TestUpdateVariantsComparison:

@@ -1,11 +1,19 @@
-"""Tests for the one-call tucker() front door."""
+"""Tests for the one-call front door: ``TuckerSession.run``."""
 
 import numpy as np
 import pytest
 
-from repro import SimCluster, tucker
+from repro import SimCluster, TuckerSession
 from repro.core.planner import Planner
 from repro.tensor.random import low_rank_tensor
+
+
+def run_once(tensor, core_dims, *, cluster=None, **kw):
+    """Sequential by default; on ``cluster``'s ranks when one is given."""
+    if cluster is None:
+        return TuckerSession().run(tensor, core_dims, **kw)
+    session = TuckerSession(backend="simcluster", cluster=cluster)
+    return session.run(tensor, core_dims, **kw)
 
 
 @pytest.fixture
@@ -15,7 +23,7 @@ def tensor():
 
 class TestTucker:
     def test_sequential_default(self, tensor):
-        res = tucker(tensor, (4, 3, 3), max_iters=4)
+        res = run_once(tensor, (4, 3, 3), max_iters=4)
         assert res.error <= res.sthosvd_error + 1e-12
         assert res.decomposition.core_dims == (4, 3, 3)
         assert res.compression_ratio > 1
@@ -25,24 +33,24 @@ class TestTucker:
         cluster = SimCluster(4)
         # pin the planner so both paths share the exact plan
         planner = Planner(4, tree="optimal", grid="dynamic")
-        seq = tucker(tensor, (4, 3, 3), n_procs=4, planner=planner, max_iters=3, tol=0.0)
-        dist = tucker(
+        seq = run_once(tensor, (4, 3, 3), n_procs=4, planner=planner, max_iters=3, tol=0.0)
+        dist = run_once(
             tensor, (4, 3, 3), cluster=cluster, planner=planner, max_iters=3, tol=0.0
         )
         np.testing.assert_allclose(dist.errors, seq.errors, atol=1e-9)
 
     def test_skip_hooi_returns_sthosvd(self, tensor):
-        res = tucker(tensor, (4, 3, 3), skip_hooi=True)
+        res = run_once(tensor, (4, 3, 3), skip_hooi=True)
         assert res.errors == []
         assert res.error == res.sthosvd_error
 
     def test_named_planner(self, tensor):
-        res = tucker(tensor, (4, 3, 3), planner="balanced", max_iters=2)
+        res = run_once(tensor, (4, 3, 3), planner="balanced", max_iters=2)
         assert res.plan.tree_kind == "balanced"
         assert res.plan.grid_kind == "dynamic"
 
     def test_planner_instance(self, tensor):
-        res = tucker(
+        res = run_once(
             tensor, (4, 3, 3), planner=Planner(2, tree="chain-k", grid="static"),
             max_iters=2,
         )
@@ -50,9 +58,9 @@ class TestTucker:
 
     def test_core_dims_validated(self, tensor):
         with pytest.raises(ValueError):
-            tucker(tensor, (40, 3, 3))
+            run_once(tensor, (40, 3, 3))
 
     def test_cluster_size_drives_planner(self, tensor):
         cluster = SimCluster(8)
-        res = tucker(tensor, (4, 3, 3), cluster=cluster, max_iters=2)
+        res = run_once(tensor, (4, 3, 3), cluster=cluster, max_iters=2)
         assert res.plan.n_procs == 8

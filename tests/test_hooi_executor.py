@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.backends import (
+    SequentialBackend,
+    SimClusterBackend,
+    compile_core_steps,
+    compile_tree_steps,
+    run_core_steps,
+    run_tree_steps,
+)
 from repro.core.meta import TensorMeta
+from repro.core.ordering import optimal_chain_ordering
 from repro.core.planner import Planner
 from repro.dist.dtensor import DistTensor
-from repro.hooi.executor import (
-    compute_core_distributed,
-    compute_core_sequential,
-    execute_tree_distributed,
-    execute_tree_sequential,
-)
 from repro.hooi.hooi import hooi_reference_step
 from repro.hooi.sthosvd import sthosvd
 from repro.mpi.comm import SimCluster
+from repro.session import TuckerSession
 from repro.tensor.random import low_rank_tensor, random_tensor
 
 
@@ -25,6 +29,11 @@ def problem():
     meta = TensorMeta(dims=dims, core=core)
     init = sthosvd(t, core)
     return t, meta, init
+
+
+def execute_tree_sequential(t, factors, tree, meta):
+    steps = compile_tree_steps(tree, meta)
+    return run_tree_steps(SequentialBackend(), t, factors, steps)
 
 
 class TestSequentialExecution:
@@ -55,12 +64,13 @@ class TestSequentialExecution:
         bad = list(init.factors)
         bad[0] = bad[0][:, :-1]
         with pytest.raises(ValueError, match="factor 0"):
-            execute_tree_sequential(t, bad, plan.tree, plan.meta)
+            TuckerSession().hooi(t, bad, plan=plan, max_iters=1)
 
     def test_core_matches_reference(self, problem):
         t, meta, init = problem
         ref = hooi_reference_step(t, init.factors, meta.core)
-        core = compute_core_sequential(t, ref.factors, meta)
+        steps = compile_core_steps(optimal_chain_ordering(meta))
+        core = run_core_steps(SequentialBackend(), t, ref.factors, steps)
         np.testing.assert_allclose(core, ref.core, atol=1e-8)
 
 
@@ -71,33 +81,23 @@ class TestDistributedExecution:
         plan = Planner(8, tree="optimal", grid=grid_kind).plan(meta)
         cluster = SimCluster(8)
         dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        new = execute_tree_distributed(dt, init.factors, plan)
+        steps = compile_tree_steps(plan.tree, meta, scheme=plan.scheme)
+        new = run_tree_steps(
+            SimClusterBackend(cluster), dt, init.factors, steps
+        )
         seq = execute_tree_sequential(t, init.factors, plan.tree, plan.meta)
         for mode in range(meta.ndim):
             np.testing.assert_allclose(new[mode], seq[mode], atol=1e-8)
 
-    def test_wrong_grid_rejected(self, problem):
-        t, meta, init = problem
-        plan = Planner(8, tree="optimal", grid="dynamic").plan(meta)
-        cluster = SimCluster(8)
-        # distribute on some other valid grid
-        other = tuple(
-            g for g in [(1, 1, 2, 4), (2, 2, 2, 1), (8, 1, 1, 1)]
-            if g != plan.initial_grid
-        )[0]
-        dt = DistTensor.from_global(cluster, t, other)
-        with pytest.raises(ValueError, match="grid"):
-            execute_tree_distributed(dt, init.factors, plan)
-
     def test_wrong_shape_rejected(self, problem):
         _, meta, init = problem
         plan = Planner(8).plan(meta)
-        cluster = SimCluster(8)
-        dt = DistTensor.from_global(
-            cluster, random_tensor((12, 10, 8, 7), seed=1), (2, 2, 2, 1)
-        )
-        with pytest.raises(ValueError):
-            execute_tree_distributed(dt, init.factors, plan)
+        session = TuckerSession(backend="simcluster", cluster=SimCluster(8))
+        with pytest.raises(ValueError, match="plan dims"):
+            session.hooi(
+                random_tensor((12, 10, 8, 7), seed=1), init, plan=plan,
+                max_iters=1,
+            )
 
     def test_core_chain_with_scheme(self, problem):
         t, meta, init = problem
@@ -105,12 +105,9 @@ class TestDistributedExecution:
         cluster = SimCluster(8)
         dt = DistTensor.from_global(cluster, t, plan.initial_grid)
         ref = hooi_reference_step(t, init.factors, meta.core)
-        core = compute_core_distributed(
-            dt,
-            ref.factors,
-            meta,
-            core_order=plan.core_order,
-            core_scheme=plan.core_scheme,
+        steps = compile_core_steps(plan.core_order, plan.core_scheme)
+        core = run_core_steps(
+            SimClusterBackend(cluster), dt, ref.factors, steps
         )
         np.testing.assert_allclose(core.to_global(), ref.core, atol=1e-8)
 
@@ -118,21 +115,19 @@ class TestDistributedExecution:
         # executed regrid volume must never exceed the plan's model charge
         t, meta, init = problem
         plan = Planner(8, tree="optimal", grid="dynamic").plan(meta)
-        cluster = SimCluster(8)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        execute_tree_distributed(dt, init.factors, plan, tag="hooi")
-        engine_regrid = cluster.stats.volume(
-            op="alltoallv", tag_prefix="hooi:regrid"
+        session = TuckerSession(backend="simcluster", cluster=SimCluster(8))
+        res = session.hooi(t, init, plan=plan, max_iters=1)
+        engine_regrid = res.ledger.volume(
+            op="alltoallv", tag_prefix="hooi:it0:regrid"
         )
         assert engine_regrid <= plan.regrid_volume
 
     def test_rs_volume_matches_plan_exactly(self, problem):
         t, meta, init = problem
         plan = Planner(8, tree="optimal", grid="dynamic").plan(meta)
-        cluster = SimCluster(8)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        execute_tree_distributed(dt, init.factors, plan, tag="hooi")
-        engine_rs = cluster.stats.volume(
-            op="reduce_scatter", tag_prefix="hooi:ttm"
+        session = TuckerSession(backend="simcluster", cluster=SimCluster(8))
+        res = session.hooi(t, init, plan=plan, max_iters=1)
+        engine_rs = res.ledger.volume(
+            op="reduce_scatter", tag_prefix="hooi:it0:ttm"
         )
         assert engine_rs == plan.ttm_volume

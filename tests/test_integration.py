@@ -10,12 +10,11 @@ import pytest
 
 import repro
 from repro import (
-    DistTensor,
     MachineModel,
     Planner,
     SimCluster,
     TensorMeta,
-    hooi_distributed,
+    TuckerSession,
     low_rank_tensor,
     predict,
     separable_field_tensor,
@@ -23,6 +22,12 @@ from repro import (
 )
 from repro.bench import ALGORITHMS, make_planner
 from repro.hooi.hooi import hooi_reference_step
+
+
+def cluster_hooi(cluster, t, init, **kw):
+    return TuckerSession(backend="simcluster", cluster=cluster).hooi(
+        t, init, **kw
+    )
 
 
 class TestPublicApi:
@@ -42,8 +47,8 @@ class TestFullPipeline:
         init = sthosvd(t, meta.core)
         cluster = SimCluster(8)
         plan = Planner(8, tree="optimal", grid="dynamic").plan(meta)
-        res = hooi_distributed(cluster, t, init, plan=plan, max_iters=5)
-        assert res.final_error < 0.01
+        res = cluster_hooi(cluster, t, init, plan=plan, max_iters=5)
+        assert res.error < 0.01
         assert res.decomposition.compression_ratio > 10
 
     def test_hooi_improves_on_bad_init(self):
@@ -62,8 +67,8 @@ class TestFullPipeline:
         core0 = ttm_chain(t, factors, [0, 1, 2], transpose=True)
         init = TuckerDecomposition(core=core0, factors=factors)
         cluster = SimCluster(4)
-        res = hooi_distributed(cluster, t, init, max_iters=10)
-        assert res.final_error < 0.5 * init.error_vs(t)
+        res = cluster_hooi(cluster, t, init, max_iters=10)
+        assert res.error < 0.5 * init.error_vs(t)
 
     @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
     def test_every_algorithm_executes_and_agrees(self, alg):
@@ -74,11 +79,9 @@ class TestFullPipeline:
         init = sthosvd(t, core)
         ref = hooi_reference_step(t, init.factors, core)
         plan = make_planner(alg, 8).plan(meta)
-        cluster = SimCluster(8)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        from repro.hooi.hooi import hooi_step_distributed
-
-        dec, _ = hooi_step_distributed(dt, init.factors, plan)
+        dec = cluster_hooi(
+            SimCluster(8), t, init, plan=plan, max_iters=1
+        ).decomposition
         for a, b in zip(dec.factors, ref.factors):
             np.testing.assert_allclose(a, b, atol=1e-7)
         np.testing.assert_allclose(dec.core, ref.core, atol=1e-7)
@@ -92,20 +95,18 @@ class TestPlannerEnginePredictions:
         init = sthosvd(t, core)
         for alg in sorted(ALGORITHMS):
             plan = make_planner(alg, 8).plan(meta)
-            cluster = SimCluster(8)
-            dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-            from repro.hooi.hooi import hooi_step_distributed
-
-            hooi_step_distributed(dt, init.factors, plan, tag="h")
+            ledger = cluster_hooi(
+                SimCluster(8), t, init, plan=plan, max_iters=1
+            ).ledger
             rep = predict(plan)
-            engine_total = cluster.stats.volume()
+            engine_total = ledger.volume(tag_prefix="hooi:it0")
             model_total = (
                 rep.ttm.volume + rep.regrid.volume + rep.svd.volume + rep.core.volume
             )
             assert engine_total <= model_total
             # and the reduce-scatter part is exact
             assert (
-                cluster.stats.volume(op="reduce_scatter", tag_prefix="h:ttm")
+                ledger.volume(op="reduce_scatter", tag_prefix="hooi:it0:ttm")
                 == plan.ttm_volume
             )
 
@@ -117,7 +118,7 @@ class TestPlannerEnginePredictions:
         init = sthosvd(t, core)
         plan = Planner(4, tree="optimal", grid="dynamic").plan(meta)
         cluster = SimCluster(4)
-        hooi_distributed(cluster, t, init, plan=plan, max_iters=3, tol=0.0)
+        cluster_hooi(cluster, t, init, plan=plan, max_iters=3, tol=0.0)
         vols = [
             cluster.stats.volume(tag_prefix=f"hooi:it{i}") for i in range(3)
         ]

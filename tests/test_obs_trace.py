@@ -456,6 +456,23 @@ class TestSessionTracing:
         assert snap["histograms"]["run_seconds"]["count"] == 1.0
         assert any(k.startswith("step_seconds:") for k in snap["histograms"])
 
+    def test_explicit_plan_runs_count_in_cache_metrics(self):
+        from repro.core.meta import TensorMeta
+        from repro.core.planner import Planner
+        from repro.session import TuckerSession
+        from repro.tensor.random import low_rank_tensor
+
+        t = low_rank_tensor((12, 10, 8), (4, 3, 3), noise=0.1, seed=5)
+        plan = Planner(4).plan(TensorMeta(dims=t.shape, core=(4, 3, 3)))
+        session = TuckerSession(backend="sequential")
+        for _ in range(3):
+            session.run(t, plan=plan, max_iters=1)
+        info = session.cache_info()
+        counters = session.metrics.snapshot()["counters"]
+        assert (info["hits"], info["misses"]) == (2, 1)
+        assert counters["plan_cache_hits"] == info["hits"]
+        assert counters["plan_cache_misses"] == info["misses"]
+
     def test_spill_run_emits_io_spans(self, tmp_path):
         from repro.session import TuckerSession
         from repro.tensor.random import low_rank_tensor

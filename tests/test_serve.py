@@ -545,6 +545,16 @@ class TestServer:
         assert res.ok, res.error
         assert res.storage == "mmap"
 
+    def test_requests_plan_with_the_server_planner(self):
+        with TuckerServer(
+            workers=1, backend="sequential", planner="balanced",
+        ) as server:
+            res = server.submit(ServeRequest(
+                dims=(10, 8, 6), core=(3, 3, 2), id="r", max_iters=1,
+            )).result(timeout=60)
+        assert res.ok, res.error
+        assert res.value.plan.tree_kind == "balanced"
+
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             TuckerServer(workers=0)

@@ -1,16 +1,13 @@
-"""Tests for the session API: CompiledPlan, the plan cache, and the shims."""
+"""Tests for the session API: CompiledPlan, the plan cache, RunOptions."""
 
 import numpy as np
 import pytest
 
 from repro.core.meta import TensorMeta
 from repro.core.planner import Plan, Planner
-from repro.hooi.hooi import hooi_distributed, hooi_sequential
 from repro.hooi.sthosvd import sthosvd
-from repro.mpi.comm import SimCluster
 from repro.session import CompiledPlan, TuckerSession, compile_plan
 from repro.tensor.random import low_rank_tensor
-from repro.hooi.api import tucker
 
 
 @pytest.fixture
@@ -223,30 +220,110 @@ class TestRunResult:
         assert res.error <= init.error_vs(tensor) + 1e-12
 
 
-class TestDeprecationShims:
-    def test_tucker_warns_and_matches_session(self, tensor):
-        with pytest.warns(DeprecationWarning, match="tucker"):
-            legacy = tucker(
-                tensor, (4, 3, 3), n_procs=4, planner="optimal",
-                max_iters=3, tol=0.0,
-            )
-        fresh = TuckerSession().run(
-            tensor, (4, 3, 3), n_procs=4, planner="optimal",
-            max_iters=3, tol=0.0,
+class _Untouchable:
+    """An input whose bytes must never be read (validation comes first)."""
+
+    shape = (14, 12, 10)
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("tensor bytes touched before validation")
+
+
+INVALID_SETTINGS = [
+    ("storage", "disk"),
+    ("spill_codec", "gzip"),
+    ("memory_budget", "lots"),
+    ("method", "bogus"),
+    ("max_iters", -1),
+    ("dtype", "int32"),
+]
+
+
+class TestRunOptions:
+    @pytest.mark.parametrize("name,value", INVALID_SETTINGS)
+    def test_invalid_setting_rejected_before_any_bytes(self, name, value):
+        from repro.session import RunOptions
+
+        with pytest.raises(ValueError) as built:
+            RunOptions(**{name: value})
+        message = str(built.value)
+        session = TuckerSession()
+        with pytest.raises(ValueError) as ran:
+            session.run(_Untouchable(), (4, 3, 3), **{name: value})
+        assert str(ran.value) == message
+
+        def stream():
+            raise AssertionError("batch input read before validation")
+            yield  # pragma: no cover
+
+        with pytest.raises(ValueError) as batched:
+            session.run_many(stream(), (4, 3, 3), **{name: value})
+        assert str(batched.value) == message
+
+    @pytest.mark.parametrize("name,value", INVALID_SETTINGS)
+    def test_serving_rejects_the_same_values(self, name, value):
+        from repro.serve import ServeRequest, TuckerServer
+        from repro.session import RunOptions
+
+        with pytest.raises(ValueError) as built:
+            RunOptions(**{name: value})
+        with pytest.raises(ValueError) as served:
+            if name in ("dtype", "max_iters", "method"):
+                ServeRequest(core=(2, 2), dims=(4, 4), **{name: value})
+            else:
+                TuckerServer(workers=1, **{name: value})
+        if name == "method":  # the wire protocol names its own methods
+            assert "method" in str(served.value)
+        else:
+            assert str(served.value) == str(built.value)
+
+    def test_entry_points_accept_only_the_settings_they_read(self, tensor):
+        session = TuckerSession()
+        with pytest.raises(TypeError, match="method"):
+            session.sthosvd(tensor, (4, 3, 3), method="rsthosvd")
+        init = sthosvd(tensor, (4, 3, 3))
+        with pytest.raises(TypeError, match="seed"):
+            session.hooi(tensor, init, seed=3)
+
+    def test_overrides_replace_the_session_base(self, tmp_path):
+        from repro.session import RunOptions
+
+        session = TuckerSession(memory_budget="1K", spill_dir=str(tmp_path))
+        assert session.options == RunOptions(
+            memory_budget=1024, spill_dir=str(tmp_path)
         )
-        assert legacy.errors == pytest.approx(fresh.errors, abs=1e-14)
-        assert legacy.backend == "sequential"
+        t = low_rank_tensor((14, 12, 10), (4, 3, 3), noise=0.08, seed=0)
+        assert session.run(t, (4, 3, 3), max_iters=1).storage == "mmap"
+        # None keeps the session's storage setting; a value replaces it
+        res = session.run(t, (4, 3, 3), max_iters=1, memory_budget=None)
+        assert res.storage == "mmap"
+        res = session.run(t, (4, 3, 3), max_iters=1, storage="memory")
+        assert res.storage == "memory"
 
-    def test_hooi_sequential_warns(self, tensor):
-        init = sthosvd(tensor, (4, 3, 3))
-        with pytest.warns(DeprecationWarning, match="hooi_sequential"):
-            res = hooi_sequential(tensor, init, n_procs=2, max_iters=2)
-        assert res.iterations == len(res.errors) > 0
 
-    def test_hooi_distributed_warns(self, tensor):
-        init = sthosvd(tensor, (4, 3, 3))
-        cluster = SimCluster(4)
-        with pytest.warns(DeprecationWarning, match="hooi_distributed"):
-            res = hooi_distributed(cluster, tensor, init, max_iters=2)
-        assert res.iterations == len(res.errors) > 0
-        assert cluster.stats.volume() > 0
+@pytest.mark.parametrize("backend", ["sequential", "threaded", "procpool"])
+class TestOnePipeline:
+    def test_sthosvd_is_run_without_hooi(self, tensor, backend):
+        with TuckerSession(backend=backend, n_procs=2) as session:
+            a = session.sthosvd(tensor, (4, 3, 3))
+            b = session.run(tensor, (4, 3, 3), skip_hooi=True)
+        assert a.sthosvd_error == b.sthosvd_error
+        np.testing.assert_array_equal(
+            a.decomposition.core, b.decomposition.core
+        )
+        for fa, fb in zip(a.decomposition.factors, b.decomposition.factors):
+            np.testing.assert_array_equal(fa, fb)
+
+    def test_hooi_from_run_init_is_run(self, tensor, backend):
+        with TuckerSession(backend=backend, n_procs=2) as session:
+            init = session.run(
+                tensor, (4, 3, 3), planner="optimal", skip_hooi=True
+            ).decomposition
+            a = session.hooi(tensor, init, planner="optimal")
+            b = session.run(tensor, (4, 3, 3), planner="optimal")
+        assert a.errors == b.errors and a.n_iters == b.n_iters > 0
+        np.testing.assert_array_equal(
+            a.decomposition.core, b.decomposition.core
+        )
+        for fa, fb in zip(a.decomposition.factors, b.decomposition.factors):
+            np.testing.assert_array_equal(fa, fb)

@@ -607,7 +607,7 @@ class TestReviewRegressions:
             spill_dir=str(tmp_path),
         )
         store = session._open_store(
-            session._select_storage(10**6, None, None), None
+            session._select_storage(10**6, session.options), session.options
         )
         try:
             assert store.max_block_bytes >= 4096

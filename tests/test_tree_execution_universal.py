@@ -9,12 +9,17 @@ by enumerating (N=3) / sampling (N=4) complete tree spaces and running them.
 import numpy as np
 import pytest
 
+from repro.backends import SequentialBackend, compile_tree_steps, run_tree_steps
 from repro.core.enumerate_trees import enumerate_trees
 from repro.core.meta import TensorMeta
-from repro.hooi.executor import execute_tree_sequential
 from repro.hooi.hooi import hooi_reference_step
 from repro.hooi.sthosvd import sthosvd
 from repro.tensor.random import low_rank_tensor
+
+
+def execute_tree_sequential(t, factors, tree, meta):
+    steps = compile_tree_steps(tree, meta)
+    return run_tree_steps(SequentialBackend(), t, factors, steps)
 
 
 @pytest.fixture(scope="module")
